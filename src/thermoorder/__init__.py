@@ -64,7 +64,6 @@ from .majorization import (
 from .modes import NumericMode
 from .states import (
     BlockState,
-    GibbsFactors,
     Hamiltonian,
     JointCatalyst,
     gibbs_state,
@@ -77,7 +76,6 @@ from .states import (
 )
 from .witness import (
     StochasticWitness,
-    apply_witness,
     find_witness,
     identity_witness,
     random_gibbs_stochastic,

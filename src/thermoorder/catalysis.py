@@ -177,6 +177,17 @@ class SearchConfig:
     polytope_grid: int = 26
     budget_cells: int = 200_000
 
+    def __post_init__(self):
+        if self.marginal_grid < 1:
+            raise ValueError(f"marginal_grid must be at least 1, not {self.marginal_grid}")
+        if self.polytope_grid < 2:
+            raise ValueError(f"polytope_grid must be at least 2, not {self.polytope_grid}")
+        if self.budget_cells < 1:
+            raise ValueError(f"budget_cells must be at least 1, not {self.budget_cells}")
+        for dims in self.dims:
+            if tuple(dims) not in ((2, 2), (2, 2, 2)):
+                raise ValueError(f"unsupported catalyst dimensions {dims!r}")
+
     def to_json_obj(self) -> dict:
         return {
             "dims": [list(d) for d in self.dims],
@@ -286,10 +297,8 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
     for dims in config.dims:
         if tuple(dims) == (2, 2):
             generator = _two_qubit_cells(config)
-        elif tuple(dims) == (2, 2, 2):
-            generator = _three_qubit_cells(config)
         else:
-            raise ValueError(f"unsupported catalyst dimensions {dims!r}")
+            generator = _three_qubit_cells(config)
         for joint in generator:
             if cells >= config.budget_cells:
                 return None

@@ -519,7 +519,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (ValueError, OSError, json.JSONDecodeError, WitnessNumericalError) as exc:
+    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError,
+            WitnessNumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

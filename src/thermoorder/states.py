@@ -136,18 +136,6 @@ class Hamiltonian:
 
 
 @dataclass(frozen=True)
-class GibbsFactors:
-    """Boltzmann weight vector together with its partition function."""
-
-    g: tuple
-    Z: object
-
-    @classmethod
-    def of(cls, ham: Hamiltonian) -> "GibbsFactors":
-        return cls(ham.gibbs, ham.partition_function)
-
-
-@dataclass(frozen=True)
 class BlockState:
     """Probability vector over the levels of a Hamiltonian."""
 

@@ -1,13 +1,17 @@
-"""Explicit Gibbs-preserving stochastic witnesses via LP feasibility.
+"""Explicit Gibbs-preserving stochastic witnesses, built from the thermal curves.
 
 A transition between block-diagonal states is possible through a thermal
-process exactly when some column-stochastic matrix fixes the Gibbs state
-and maps the initial distribution to the target. This module decides that
-feasibility and returns the matrix. Small systems (n <= 12 by default) go
-through an exact phase-1 simplex over Fractions, so verdicts cannot be
-numerically wrong near curve tangency; larger systems use scipy's LP with
-post-hoc residual validation. Floats enter the exact path losslessly (every
-float is a dyadic rational).
+process exactly when some column-stochastic matrix fixes the Gibbs state and
+maps the initial distribution to the target, that is, when the initial
+thermal curve dominates the target's. Feasibility is decided by that
+dominance on lossless rational copies of the inputs (every float is a dyadic
+rational), so no tolerance enters the verdict. The matrix is then built
+directly, by the d-majorization construction (Horodecki & Oppenheim, Nat.
+Commun. 4, 2059 (2013); Shiraishi, "Two constructive proofs on
+d-majorization and thermo-majorization"): common cells of the two
+beta-ordered partitions, weighted T-transforms between cells, and a sum
+back into levels. Up to 12 levels it runs in Fractions and is checked by
+exact equality; above, it runs in floats and must pass residual bounds.
 """
 
 from __future__ import annotations
@@ -16,17 +20,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .modes import all_exact, encode_number, parse_number, to_fraction
+from .majorization import thermomajorizes
+from .modes import all_exact, encode_number, exact_sum, parse_number
 from .states import BlockState, Hamiltonian, gibbs_state
 
+# Up to this many levels the witness is built in Fractions; above, exact
+# rational bit sizes grow too costly and it is built in floats.
 EXACT_DIMENSION_LIMIT = 12
-DIMENSION_LIMIT = 64
 
 
 class WitnessNumericalError(RuntimeError):
-    """Floating solve failed in a way that is not a certified infeasibility."""
+    """A constructed witness failed validation; this is not a certified infeasibility."""
 
 
 @dataclass(frozen=True)
@@ -109,176 +113,138 @@ class StochasticWitness:
         return cls(tuple(tuple(parse_number(v) for v in row) for row in obj["matrix"]))
 
 
-def apply_witness(w: StochasticWitness, p) -> tuple:
-    return w.apply(p)
-
-
 def identity_witness(n: int) -> StochasticWitness:
     return StochasticWitness(tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
     ))
 
 
-# -- exact phase-1 simplex ---------------------------------------------------
+def _partition(s, g, total):
+    """Levels in beta order and the right ends of their intervals in [0, Z].
 
-def _feasible_point(a_rows, b):
-    """x >= 0 with Ax = b, or None. Exact Fractions, Bland's rule."""
-    m, n = len(a_rows), len(a_rows[0])
-    tableau = []
-    for i in range(m):
-        row = list(a_rows[i])
-        rhs = b[i]
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tableau.append(row + art + [rhs])
-    # reduced costs for min(sum of artificials) with the artificial basis
-    z = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        for j in range(n):
-            z[j] -= tableau[i][j]
-        z[n + m] -= tableau[i][n + m]
-    basis = list(range(n, n + m))
+    The last end is pinned to the compensated total, as in thermal_lorenz, so
+    both partitions of one Hamiltonian end on the same point."""
+    perm = sorted(range(len(s)), key=lambda i: -s[i] / g[i])
+    ends, x = [], 0 * total
+    for i in perm[:-1]:
+        x += g[i]
+        ends.append(min(x, total))
+    ends.append(total)
+    return perm, ends
+
+
+def _construct(p, q, g):
+    """Rows of a column-stochastic M with M g = g and M p = q.
+
+    p, q and g share one arithmetic (all Fractions or all floats), and the
+    thermal curve of p must dominate that of q. Both beta-ordered partitions
+    of [0, Z] are refined into at most 2n - 1 common cells, on which both
+    densities are non-increasing. Row c of ``rows`` is the map from p's levels
+    to the mass in cell c; it starts as the proportional split of each level's
+    interval. Weighted T-transforms then move mass from the last cell with a
+    surplus over q to the first later cell with a deficit, preserving the
+    cell lengths, until every cell holds q's mass (each step settles one
+    cell). Summing the rows of each q level gives M.
+    """
+    n = len(p)
+    total = exact_sum(g)
+    zero = 0 * total
+    p_perm, p_ends = _partition(p, g, total)
+    q_perm, q_ends = _partition(q, g, total)
+    # interval lengths, not g: in floats they are what the cells add up to
+    p_len = [hi - lo for lo, hi in zip([zero] + p_ends, p_ends)]
+    q_len = [hi - lo for lo, hi in zip([zero] + q_ends, q_ends)]
+    cells = []  # (length, position in p's order, position in q's order)
+    a = b = 0
+    x = zero
+    while a < n and b < n:
+        end = min(p_ends[a], q_ends[b])
+        cells.append((end - x, a, b))
+        x = end
+        if p_ends[a] == end:
+            a += 1
+        if q_ends[b] == end:
+            b += 1
+    rows, mass, target = [], [], []
+    for length, a, b in cells:
+        # a float interval of zero length (a Gibbs weight below the resolution
+        # of Z) is one zero-length cell that takes its level's whole mass
+        share = length / p_len[a] if p_len[a] else zero + 1
+        row = [zero] * n
+        row[p_perm[a]] = share
+        rows.append(row)
+        mass.append(share * p[p_perm[a]])
+        target.append(length * q[q_perm[b]] / q_len[b] if q_len[b] else zero)
+    m = len(cells)
     while True:
-        enter = next((j for j in range(n + m) if z[j] < 0), -1)
-        if enter < 0:
-            break
-        leave, best = -1, None
-        for i in range(m):
-            coef = tableau[i][enter]
-            if coef > 0:
-                ratio = tableau[i][n + m] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave < 0:
-            return None
-        pivot = tableau[leave][enter]
-        tableau[leave] = [v / pivot for v in tableau[leave]]
-        prow = tableau[leave]
-        for i in range(m):
-            f = tableau[i][enter]
-            if i != leave and f != 0:
-                tableau[i] = [v - f * w for v, w in zip(tableau[i], prow)]
-        f = z[enter]
-        if f != 0:
-            z = [v - f * w for v, w in zip(z, prow)]
-        basis[leave] = enter
-    if z[n + m] != 0:
-        return None
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i][n + m]
-    return x
+        j = next((c for c in range(m - 1, -1, -1) if mass[c] > target[c]), None)
+        k = None if j is None else next((c for c in range(j + 1, m) if mass[c] < target[c]), None)
+        if k is None:
+            break  # settled; in floats a rounding-level surplus may remain
+        lj, lk = cells[j][0], cells[k][0]
+        surplus, deficit = mass[j] - target[j], target[k] - mass[k]
+        delta = min(surplus, deficit)
+        # T = [[1-s, t], [s, 1-t]] on (j, k) with s*lj = t*lk fixes the lengths
+        # and moves s*mass[j] - t*mass[k] = delta
+        denom = mass[j] * lk - mass[k] * lj
+        if denom > 0:
+            s, t = min(1, delta * lk / denom), min(1, delta * lj / denom)
+            rj, rk = rows[j], rows[k]
+            rows[j] = [(1 - s) * u + t * v for u, v in zip(rj, rk)]
+            rows[k] = [s * u + (1 - t) * v for u, v in zip(rj, rk)]
+        if surplus <= deficit:
+            mass[j], mass[k] = target[j], mass[k] + surplus
+        else:
+            mass[j], mass[k] = mass[j] - deficit, target[k]
+    matrix = [[zero] * n for _ in range(n)]
+    for (_, _, b), row in zip(cells, rows):
+        out = matrix[q_perm[b]]
+        for j, v in enumerate(row):
+            out[j] += v
+    return tuple(tuple(r) for r in matrix)
 
 
-def _witness_rows(p, q, gamma):
-    """Equality system for column-stochastic M with M gamma = gamma, M p = q.
-
-    One row of each spectral constraint family is implied by the column sums
-    and is dropped to keep the tableau small."""
-    n = len(p)
-    zero = Fraction(0)
-    rows, rhs = [], []
-    for j in range(n):
-        row = [zero] * (n * n)
-        for i in range(n):
-            row[i * n + j] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-    for i in range(n - 1):
-        row = [zero] * (n * n)
-        for j in range(n):
-            row[i * n + j] = gamma[j]
-        rows.append(row)
-        rhs.append(gamma[i])
-    for i in range(n - 1):
-        row = [zero] * (n * n)
-        for j in range(n):
-            row[i * n + j] = p[j]
-        rows.append(row)
-        rhs.append(q[i])
-    return rows, rhs
-
-
-def _find_witness_exact(p, q, gamma):
-    n = len(p)
-    rows, rhs = _witness_rows(p, q, gamma)
-    x = _feasible_point(rows, rhs)
-    if x is None:
-        return None
-    witness = StochasticWitness(tuple(tuple(x[i * n + j] for j in range(n)) for i in range(n)))
-    # re-validate by direct multiplication; exact arithmetic, so equality is strict
-    if witness.apply(p) != tuple(q) or witness.apply(gamma) != tuple(gamma):
-        raise WitnessNumericalError("exact solver produced an invalid witness")
-    return witness
-
-
-def _find_witness_float(p, q, gamma):
-    from scipy.optimize import linprog
-
-    n = len(p)
-    rows, rhs = _witness_rows(
-        [float(v) for v in p], [float(v) for v in q], [float(v) for v in gamma]
-    )
-    a_eq = np.array([[float(v) for v in row] for row in rows])
-    b_eq = np.array([float(v) for v in rhs])
-    res = linprog(
-        c=np.zeros(n * n), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
-    )
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        raise WitnessNumericalError(f"LP solver status {res.status}: {res.message}")
-    m = res.x.reshape((n, n))
-    # renormalize away solver noise before validation
-    m = np.clip(m, 0.0, None)
-    m /= m.sum(axis=0, keepdims=True)
-    witness = StochasticWitness(tuple(tuple(float(v) for v in row) for row in m))
-    r = witness.residuals(p, q, gamma)
-    if r["map"] > 1e-8 or r["gibbs"] > 1e-9:
-        raise WitnessNumericalError(f"witness failed validation: residuals {r}")
-    return witness
-
-
-def find_witness(p: BlockState, q: BlockState,
-                 exact_limit: int = EXACT_DIMENSION_LIMIT,
-                 dimension_limit: int = DIMENSION_LIMIT):
+def find_witness(p: BlockState, q: BlockState):
     """Gibbs-preserving stochastic matrix with M p = q, or None if none exists.
 
-    Any returned witness has been re-validated by direct multiplication.
+    Feasibility is thermal-curve dominance of lossless rational copies, so no
+    tolerance decides it. Up to EXACT_DIMENSION_LIMIT levels the matrix is
+    built in Fractions and checked by exact equality (float inputs then get
+    its float rendering); above, it is built in floats and must pass the
+    residual bounds. Any returned witness has been re-validated by direct
+    multiplication.
     """
     if p.ham != q.ham:
         raise ValueError("witness search needs both states on the same Hamiltonian")
     n = len(p)
-    if n > dimension_limit:
-        raise ValueError(f"dimension {n} exceeds the configured limit {dimension_limit}")
     gamma = gibbs_state(p.ham).probs
     if p.probs == q.probs:
         return identity_witness(n)
     if q.probs == gamma:
         rows = tuple(tuple(gamma[i] for _ in range(n)) for i in range(n))
         return StochasticWitness(rows)
-    if n <= exact_limit:
-        # rationalize losslessly, then normalize exactly: float vectors sum to
-        # 1 only within rounding, and the reduced equality system needs the
-        # totals to agree to the bit
-        def unit(values):
-            vals = [to_fraction(v) for v in values]
-            total = sum(vals, Fraction(0))
-            return [v / total for v in vals]
-
-        witness = _find_witness_exact(unit(p.probs), unit(q.probs), unit(gamma))
-        if witness is None:
-            return None
+    ep, eq = p.to_exact(), q.to_exact()
+    if not thermomajorizes(ep, eq).dominates:
+        return None
+    if n <= EXACT_DIMENSION_LIMIT:
+        witness = StochasticWitness(_construct(ep.probs, eq.probs, ep.ham.gibbs))
+        exact_gamma = gibbs_state(ep.ham).probs
+        # exact arithmetic, so equality is strict
+        if witness.apply(ep.probs) != eq.probs or witness.apply(exact_gamma) != exact_gamma:
+            raise WitnessNumericalError("exact construction produced an invalid witness")
         if not (p.exact and q.exact):
             witness = StochasticWitness(
                 tuple(tuple(float(v) for v in row) for row in witness.matrix)
             )
         return witness
-    return _find_witness_float(p.probs, q.probs, gamma)
+    witness = StochasticWitness(_construct(
+        [float(v) for v in p.probs], [float(v) for v in q.probs],
+        [float(v) for v in p.ham.gibbs],
+    ))
+    r = witness.residuals(p.probs, q.probs, gamma)
+    if r["map"] > 1e-8 or r["gibbs"] > 1e-9:
+        raise WitnessNumericalError(f"witness failed validation: residuals {r}")
+    return witness
 
 
 def random_gibbs_stochastic(ham: Hamiltonian, seed: int, weight: float = 1.0,
@@ -298,24 +264,22 @@ def random_gibbs_stochastic(ham: Hamiltonian, seed: int, weight: float = 1.0,
     rng = _random.Random(seed)
     if exchanges is None:
         exchanges = 2 * n
-    m = np.eye(n)
+    m = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for _ in range(exchanges):
         if n < 2:
             break
         i, j = rng.sample(range(n), 2)
-        # two-level exchange: move a fraction a of column j's mass to i and
-        # the gamma-balancing fraction b back, so gamma stays fixed
+        # two-level exchange: move a fraction a of column i's mass to j and
+        # the gamma-balancing fraction b of column j's back, so gamma stays fixed
         cap = min(1.0, gamma[j] / gamma[i])
         a = rng.random() * cap
         b = a * gamma[i] / gamma[j]
-        t = np.eye(n)
-        t[i, i] = 1.0 - a
-        t[j, i] = a
-        t[j, j] = 1.0 - b
-        t[i, j] = b
-        m = t @ m
-    m = (1.0 - weight) * np.eye(n) + weight * m
-    witness = StochasticWitness(tuple(tuple(float(v) for v in row) for row in m))
+        ri, rj = m[i], m[j]
+        m[i] = [(1.0 - a) * u + b * v for u, v in zip(ri, rj)]
+        m[j] = [a * u + (1.0 - b) * v for u, v in zip(ri, rj)]
+    m = [[(1.0 - weight) * (1.0 if i == j else 0.0) + weight * v for j, v in enumerate(row)]
+         for i, row in enumerate(m)]
+    witness = StochasticWitness(tuple(tuple(row) for row in m))
     drift = max(
         abs(math.fsum(witness.matrix[i][j] * gamma[j] for j in range(n)) - gamma[i])
         for i in range(n)

@@ -144,7 +144,7 @@ def test_criterion_03_necessity_on_random_above_instances():
 
 
 def test_criterion_04_witness_oracle_equivalence():
-    with criterion(4, "curve verdicts match LP feasibility on 200 seeded pairs"):
+    with criterion(4, "curve verdicts match witness existence on 200 seeded pairs"):
         rng = random.Random(424242)
         agreements = 0
         for trial in range(200):

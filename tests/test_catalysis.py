@@ -226,6 +226,14 @@ def test_search_config_json_round_trip():
     assert again == config
 
 
+
+@pytest.mark.parametrize("bad", [
+    {"marginal_grid": 0}, {"polytope_grid": 1}, {"budget_cells": 0}, {"dims": ((2, 3),)},
+])
+def test_search_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        SearchConfig(**bad)
+
 # -- work quantities --------------------------------------------------------------
 
 def test_work_quantities_vanish_at_equilibrium(rng):

@@ -70,6 +70,15 @@ def test_check_hamiltonian_mismatch_exits_two(tmp_path, demo_files):
     assert res.returncode == 2
 
 
+def test_check_float_overflow_exits_two(tmp_path):
+    # a level of -800 kT overflows its Boltzmann weight e^800
+    deep = tmp_path / "deep.json"
+    save_json({"levels": [-800.0, 0.0], "probs": [0.5, 0.5]}, deep)
+    res = run_cli("check", str(deep), str(deep))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:")
+
+
 def test_sweep_writes_csv_with_limit_labels(tmp_path, demo_files):
     out = tmp_path / "sweep.csv"
     res = run_cli("sweep", demo_files["initial"], demo_files["final"], "--out", str(out))
@@ -256,6 +265,16 @@ def test_search_honors_config_file(tmp_path, demo_files):
     assert "not found at this resolution" in res.stdout
 
 
+@pytest.mark.parametrize("bad", [{"polytope_grid": 1}, {"marginal_grid": 0}])
+def test_search_rejects_bad_config_file(tmp_path, demo_files, bad):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(bad))
+    res = run_cli("search", demo_files["initial"], demo_files["final"],
+                  "--config", str(config))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:")
+
+
 def test_lorenz_stdout_when_no_out(demo_files):
     res = run_cli("lorenz", demo_files["rational"])
     assert res.returncode == 0
@@ -295,3 +314,21 @@ def test_search_result_joint_round_trips_bit_exact(tmp_path, demo_files):
     # reload and re-serialize: identical payload
     from thermoorder.states import joint_to_dict
     assert joint_to_dict(joint) == data["joint"]
+
+
+def test_runtime_loads_neither_numpy_nor_scipy():
+    code = (
+        "import runpy, sys\n"
+        "import thermoorder\n"
+        "assert not {'numpy', 'scipy'} & set(sys.modules), 'import'\n"
+        "sys.argv = ['thermoorder', 'example']\n"
+        "try:\n"
+        "    runpy.run_module('thermoorder', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "loaded = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert "PASS" in res.stdout

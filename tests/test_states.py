@@ -169,15 +169,6 @@ def test_tensor_all_order(rng):
     assert tensor_all([a, b, c]).probs == tensor(tensor(a, b), c).probs
 
 
-def test_gibbs_factors_view():
-    from thermoorder import GibbsFactors
-
-    ham = Hamiltonian((0.0, 1.0))
-    gf = GibbsFactors.of(ham)
-    assert gf.g == ham.gibbs
-    assert float(gf.Z) == pytest.approx(1 + math.exp(-1), abs=1e-15)
-
-
 def test_numeric_mode_objects():
     from thermoorder import NumericMode
 

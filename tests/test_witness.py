@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoorder import (
     BlockState,
     Hamiltonian,
     StochasticWitness,
-    apply_witness,
     find_witness,
     gibbs_state,
     identity_witness,
@@ -30,7 +31,7 @@ def test_identity_fast_path(rng):
     s = random_state(rng, 4)
     w = find_witness(s, s)
     assert w.matrix == identity_witness(4).matrix
-    assert apply_witness(w, s.probs) == s.probs
+    assert w.apply(s.probs) == s.probs
 
 
 def test_constant_gibbs_fast_path(rng):
@@ -41,7 +42,7 @@ def test_constant_gibbs_fast_path(rng):
     for j in range(3):
         col = tuple(w.matrix[i][j] for i in range(3))
         assert col == gamma.probs
-    assert apply_witness(w, s.probs) == pytest.approx(gamma.probs, abs=1e-12)
+    assert w.apply(s.probs) == pytest.approx(gamma.probs, abs=1e-12)
 
 
 def test_exact_witness_on_rational_pair():
@@ -82,10 +83,7 @@ def test_witness_validates_on_float_inputs(rng):
         assert r["gibbs"] < 1e-12
 
 
-def test_float_lp_path_used_above_exact_limit(rng):
-    # 16 levels forces the floating solve; dominating pair stays feasible
-    a = random_state(rng, 16)
-    b = gibbs_mixture(a, 0.7)
+def _assert_valid_float_witness(a, b):
     w = find_witness(a, b)
     assert w is not None
     gamma = gibbs_state(a.ham).probs
@@ -93,11 +91,75 @@ def test_float_lp_path_used_above_exact_limit(rng):
     assert r["map"] < 1e-8 and r["gibbs"] < 1e-9
 
 
-def test_dimension_limit_enforced(rng):
-    a = random_state(rng, 5)
-    b = random_state(rng, 5, a.ham)
-    with pytest.raises(ValueError):
-        find_witness(a, b, dimension_limit=4)
+def test_float_witness_above_exact_limit(rng):
+    # 16 levels builds the matrix in floats; a dominating pair stays feasible
+    a = random_state(rng, 16)
+    _assert_valid_float_witness(a, gibbs_mixture(a, 0.7))
+
+
+def test_float_witness_at_96_levels(rng):
+    # no dimension cap: 96 levels get a validated witness like any other size
+    a = random_state(rng, 96)
+    _assert_valid_float_witness(a, gibbs_mixture(a, 0.7))
+
+
+def test_float_witness_with_gibbs_weights_below_float_resolution(rng):
+    # empty levels come last in beta order, and e^-50 is below the float
+    # spacing of the partial sums there, so these intervals have zero float length
+    levels = [rng.uniform(0.0, 2.0) for _ in range(13)]
+    levels[3] = levels[8] = 50.0
+    probs = list(random_distribution(rng, 11))
+    probs[3:3] = [0.0]
+    probs[8:8] = [0.0]
+    a = BlockState(tuple(probs), Hamiltonian(tuple(levels)))
+    _assert_valid_float_witness(a, gibbs_mixture(a, 0.3))
+
+
+def test_exact_witness_at_exact_limit(rng):
+    n = 12
+    ham = random_rational_gibbs_ham(rng, n)
+    p = BlockState(random_rational_distribution(rng, n), ham)
+    gamma = gibbs_state(ham).probs
+    t = Fraction(2, 5)
+    q = BlockState(tuple((1 - t) * a + t * g for a, g in zip(p.probs, gamma)), ham)
+    w = find_witness(p, q)
+    assert w is not None and w.exact
+    assert w.apply(p.probs) == q.probs
+    assert w.apply(gamma) == gamma
+
+
+@st.composite
+def exact_pairs(draw):
+    """Rational pairs on a rational Hamiltonian with 2..8 levels; half of the
+    targets are mixtures of the initial state with its Gibbs state, so both
+    verdicts occur."""
+    n = draw(st.integers(2, 8))
+    ham = Hamiltonian.from_gibbs_factors(
+        tuple(Fraction(w, 17) for w in draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))))
+
+    def distribution():
+        weights = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n).filter(any))
+        return tuple(Fraction(w, sum(weights)) for w in weights)
+
+    p = BlockState(distribution(), ham)
+    if draw(st.booleans()):
+        t = Fraction(draw(st.integers(0, 8)), 8)
+        gamma = gibbs_state(ham).probs
+        return p, BlockState(tuple((1 - t) * a + t * g for a, g in zip(p.probs, gamma)), ham)
+    return p, BlockState(distribution(), ham)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_pairs())
+def test_witness_exists_iff_dominance_and_checks_out_exactly(pair):
+    p, q = pair
+    w = find_witness(p, q)
+    assert (w is not None) == thermomajorizes(p, q).dominates
+    if w is not None:
+        gamma = gibbs_state(p.ham).probs
+        assert w.exact
+        assert w.apply(p.probs) == q.probs
+        assert w.apply(gamma) == gamma
 
 
 def test_witness_requires_common_hamiltonian():
