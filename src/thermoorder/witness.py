@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .majorization import thermomajorizes
-from .modes import all_exact, encode_number, exact_sum, parse_number
+from .majorization import beta_order, thermomajorizes
+from .modes import all_exact, encode_number, parse_number
 from .states import BlockState, Hamiltonian, gibbs_state
 
 # Up to this many levels the witness is built in Fractions; above, exact
@@ -119,27 +119,30 @@ def identity_witness(n: int) -> StochasticWitness:
     ))
 
 
-def _partition(s, g, total):
-    """Levels in beta order and the right ends of their intervals in [0, Z].
+def _partition(s: BlockState):
+    """Levels of s in beta order and the right ends of their intervals in [0, Z].
 
-    The last end is pinned to the compensated total, as in thermal_lorenz, so
-    both partitions of one Hamiltonian end on the same point."""
-    perm = sorted(range(len(s)), key=lambda i: -s[i] / g[i])
+    The order is beta_order without its float tie grouping, so the density
+    p_i/g_i never rises along it. The last end is pinned to the partition
+    function, as in thermal_lorenz, so both partitions of one Hamiltonian end
+    on the same point."""
+    perm = beta_order(s, tie_tol=0).perm
+    total = s.ham.partition_function
     ends, x = [], 0 * total
     for i in perm[:-1]:
-        x += g[i]
+        x += s.ham.gibbs[i]
         ends.append(min(x, total))
     ends.append(total)
     return perm, ends
 
 
-def _construct(p, q, g):
+def _construct(p: BlockState, q: BlockState):
     """Rows of a column-stochastic M with M g = g and M p = q.
 
-    p, q and g share one arithmetic (all Fractions or all floats), and the
-    thermal curve of p must dominate that of q. Both beta-ordered partitions
-    of [0, Z] are refined into at most 2n - 1 common cells, on which both
-    densities are non-increasing. Row c of ``rows`` is the map from p's levels
+    p, q and their Hamiltonian share one arithmetic (all Fractions or all
+    floats), and the thermal curve of p must dominate that of q. Both
+    beta-ordered partitions of [0, Z] are refined into at most 2n - 1 common
+    cells, on which both densities are non-increasing. Row c of ``rows`` is the map from p's levels
     to the mass in cell c; it starts as the proportional split of each level's
     interval. Weighted T-transforms then move mass from the last cell with a
     surplus over q to the first later cell with a deficit, preserving the
@@ -147,10 +150,9 @@ def _construct(p, q, g):
     cell). Summing the rows of each q level gives M.
     """
     n = len(p)
-    total = exact_sum(g)
-    zero = 0 * total
-    p_perm, p_ends = _partition(p, g, total)
-    q_perm, q_ends = _partition(q, g, total)
+    p_perm, p_ends = _partition(p)
+    q_perm, q_ends = _partition(q)
+    zero = 0 * p_ends[-1]
     # interval lengths, not g: in floats they are what the cells add up to
     p_len = [hi - lo for lo, hi in zip([zero] + p_ends, p_ends)]
     q_len = [hi - lo for lo, hi in zip([zero] + q_ends, q_ends)]
@@ -173,14 +175,20 @@ def _construct(p, q, g):
         row = [zero] * n
         row[p_perm[a]] = share
         rows.append(row)
-        mass.append(share * p[p_perm[a]])
-        target.append(length * q[q_perm[b]] / q_len[b] if q_len[b] else zero)
+        mass.append(share * p.probs[p_perm[a]])
+        target.append(length * q.probs[q_perm[b]] / q_len[b] if q_len[b] else zero)
     m = len(cells)
     while True:
         j = next((c for c in range(m - 1, -1, -1) if mass[c] > target[c]), None)
-        k = None if j is None else next((c for c in range(j + 1, m) if mass[c] < target[c]), None)
+        if j is None:
+            break
+        k = next((c for c in range(j + 1, m) if mass[c] < target[c]), None)
         if k is None:
-            break  # settled; in floats a rounding-level surplus may remain
+            # dominance leaves every surplus a later deficit, so in floats this
+            # one is rounding (say, the last cell of two partitions whose sums
+            # differ in the last bits): count the cell settled and go on
+            mass[j] = target[j]
+            continue
         lj, lk = cells[j][0], cells[k][0]
         surplus, deficit = mass[j] - target[j], target[k] - mass[k]
         delta = min(surplus, deficit)
@@ -227,7 +235,7 @@ def find_witness(p: BlockState, q: BlockState):
     if not thermomajorizes(ep, eq).dominates:
         return None
     if n <= EXACT_DIMENSION_LIMIT:
-        witness = StochasticWitness(_construct(ep.probs, eq.probs, ep.ham.gibbs))
+        witness = StochasticWitness(_construct(ep, eq))
         exact_gamma = gibbs_state(ep.ham).probs
         # exact arithmetic, so equality is strict
         if witness.apply(ep.probs) != eq.probs or witness.apply(exact_gamma) != exact_gamma:
@@ -237,10 +245,7 @@ def find_witness(p: BlockState, q: BlockState):
                 tuple(tuple(float(v) for v in row) for row in witness.matrix)
             )
         return witness
-    witness = StochasticWitness(_construct(
-        [float(v) for v in p.probs], [float(v) for v in q.probs],
-        [float(v) for v in p.ham.gibbs],
-    ))
+    witness = StochasticWitness(_construct(p.to_float(), q.to_float()))
     r = witness.residuals(p.probs, q.probs, gamma)
     if r["map"] > 1e-8 or r["gibbs"] > 1e-9:
         raise WitnessNumericalError(f"witness failed validation: residuals {r}")

@@ -16,6 +16,7 @@ from thermoorder import (
     thermomajorizes,
 )
 from thermoorder.entropies import nonnegative_alpha_grid
+from thermoorder.majorization import beta_order
 
 from conftest import (
     gibbs_mixture,
@@ -113,6 +114,58 @@ def test_float_witness_with_gibbs_weights_below_float_resolution(rng):
     probs[8:8] = [0.0]
     a = BlockState(tuple(probs), Hamiltonian(tuple(levels)))
     _assert_valid_float_witness(a, gibbs_mixture(a, 0.3))
+
+
+def _assert_witness_iff_exact_dominance(a, b):
+    """A float pair gets a validated witness exactly when its lossless
+    rational copy is dominated; returns whether it got one."""
+    feasible = thermomajorizes(a.to_exact(), b.to_exact()).dominates
+    w = find_witness(a, b)
+    assert (w is not None) == feasible
+    if w is not None:
+        gamma = gibbs_state(a.ham).probs
+        r = w.residuals(a.probs, b.probs, gamma)
+        assert r["map"] < 1e-8 and r["gibbs"] < 1e-9
+    return feasible
+
+
+def test_float_witness_when_only_the_top_levels_change(rng):
+    # one Gibbs-preserving exchange between the two highest-density levels:
+    # both states give the lowest-density level the same probability, but the
+    # two beta orders add the other Gibbs weights in different orders, so the
+    # float starts of that last interval can differ in the last bits
+    feasible = 0
+    for _ in range(20):
+        a = random_state(rng, 16)
+        i, j = beta_order(a).perm[:2]
+        g = a.ham.gibbs
+        s = rng.random() * min(1.0, g[j] / g[i])
+        t = s * g[i] / g[j]
+        probs = list(a.probs)
+        probs[i] = (1 - s) * a.probs[i] + t * a.probs[j]
+        probs[j] = s * a.probs[i] + (1 - t) * a.probs[j]
+        feasible += _assert_witness_iff_exact_dominance(a, BlockState(tuple(probs), a.ham))
+    assert feasible >= 10
+
+
+@st.composite
+def float_pairs_above_exact_limit(draw):
+    """Float pairs with 13..24 levels, the target the image of the initial
+    state under a random Gibbs-preserving map; with few exchanges it leaves
+    some levels alone."""
+    n = draw(st.integers(13, 24))
+    ham = Hamiltonian(tuple(draw(st.lists(st.floats(0, 4), min_size=n, max_size=n))))
+    weights = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n).filter(lambda w: sum(w) > 0.1))
+    p = BlockState(tuple(w / sum(weights) for w in weights), ham)
+    m = random_gibbs_stochastic(ham, seed=draw(st.integers(0, 2**16)), weight=draw(st.floats(0, 1)),
+                                exchanges=draw(st.integers(1, 2 * n)))
+    return p, BlockState(m.apply(p.probs), ham)
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_pairs_above_exact_limit())
+def test_float_witness_above_exact_limit_exists_iff_dominance(pair):
+    _assert_witness_iff_exact_dominance(*pair)
 
 
 def test_exact_witness_at_exact_limit(rng):
