@@ -24,7 +24,7 @@ from .entropies import (
     total_correlation,
 )
 from .majorization import CurveComparison, thermomajorizes
-from .modes import CMP_TOL, is_exact_number, to_fraction
+from .modes import MARGINAL_TOL, POSSIBLE_TOL, SPECTRUM_TOL, is_exact_number, to_fraction
 from .states import (
     BlockState,
     JointCatalyst,
@@ -39,8 +39,6 @@ from .states import (
 PLAIN = "plain"
 CATALYTIC = "catalytic"
 CORRELATING = "correlating"
-
-POSSIBLE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,23 +91,23 @@ def correlating_catalytic_possible(a: BlockState, b: BlockState,
                              f"free energy would increase by {fb - fa}")
 
 
-def ctrump_possible(p, q, tol: float = 1e-12) -> TransitionVerdict:
+def ctrump_possible(p, q) -> TransitionVerdict:
     """Trivial-Hamiltonian correlating transition between bare vectors.
 
-    Identical multisets of entries always pass (relabeling); otherwise the
-    support must not shrink and the Shannon entropy must strictly grow.
+    Identical multisets of entries (within SPECTRUM_TOL for floats) always
+    pass (relabeling); otherwise the support must not shrink and the Shannon
+    entropy must strictly grow.
     """
     p, q = list(p), list(q)
     n = max(len(p), len(q))
     p += [0] * (n - len(p))
     q += [0] * (n - len(q))
-    validate_distribution(p)
-    validate_distribution(q)
+    exact_p, exact_q = validate_distribution(p), validate_distribution(q)
     ps, qs = sorted(p), sorted(q)
-    if all(is_exact_number(x) for x in ps + qs):
+    if exact_p and exact_q:
         same = ps == qs
     else:
-        same = all(abs(float(x) - float(y)) <= tol for x, y in zip(ps, qs))
+        same = all(abs(float(x) - float(y)) <= SPECTRUM_TOL for x, y in zip(ps, qs))
     if same:
         return TransitionVerdict(True, CORRELATING, reason="identical spectra")
     rank_p = sum(1 for x in p if x > 0)
@@ -145,8 +143,7 @@ def qubit_pair_catalyst(s, q, x10) -> JointCatalyst:
 
 
 def verify_correlating_transition(a: BlockState, b: BlockState, joint: JointCatalyst,
-                                  expected_marginals=None,
-                                  cmp_tol: float = CMP_TOL) -> CurveComparison:
+                                  expected_marginals=None) -> CurveComparison:
     """Thermal-curve dominance of a next to the uncorrelated catalysts over
     b next to the correlated joint; local catalyst states match by
     construction, and against expected_marginals when given."""
@@ -158,14 +155,14 @@ def verify_correlating_transition(a: BlockState, b: BlockState, joint: JointCata
             if joint.exact and all(is_exact_number(x) for x in want):
                 ok = got == want
             else:
-                ok = all(abs(float(x) - float(y)) <= 1e-12 for x, y in zip(got, want))
+                ok = all(abs(float(x) - float(y)) <= MARGINAL_TOL for x, y in zip(got, want))
             if not ok:
                 raise ValueError(
                     f"declared marginal {k} is {want}, joint gives {got}"
                 )
     initial = tensor_all([a, *margs])
     final = tensor(b, joint.as_state())
-    return thermomajorizes(initial, final, cmp_tol)
+    return thermomajorizes(initial, final)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ Subcommands: check, sweep, lorenz, search, witness, work, example. Inputs
 are JSON state files ({"levels": [...], "probs": [...]}, rational entries
 as "n/d" strings); outputs are CSV/JSON files plus a deterministic report
 on stdout. Exit codes: 0 possible/success, 1 impossible/not found, 2 error.
+Each command fills in a RunReport and returns its exit code; ``main``
+prints the report and writes it to --report.
 
 The numeric mode defaults to THERMO_ORDER_MODE ({float|rational}) and can
 be overridden per invocation with --numeric-mode.
@@ -14,9 +16,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import demo
 from .catalysis import (
@@ -39,7 +42,17 @@ from .entropies import (
     work_bit_delta_f,
 )
 from .majorization import thermal_lorenz, thermomajorizes
-from .modes import CMP_TOL, NumericMode, to_fraction
+from .modes import (
+    BUDGET_TOL,
+    CLOSED_FORM_TOL,
+    CMP_TOL,
+    FREE_ENERGY_FLOOR,
+    NORM_TOL,
+    WITNESS_GIBBS_TOL,
+    WITNESS_MAP_TOL,
+    NumericMode,
+    to_fraction,
+)
 from .states import (
     BlockState,
     gibbs_state,
@@ -65,27 +78,17 @@ class RunReport:
     command: str
     mode: str
     tolerances: dict
-    seed: int
     inputs: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     numbers: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
-        return {
-            "command": self.command,
-            "mode": self.mode,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-            "inputs": self.inputs,
-            "verdicts": self.verdicts,
-            "numbers": self.numbers,
-            "outputs": self.outputs,
-        }
+        return asdict(self)
 
     def print_text(self, out) -> None:
         tols = " ".join(f"{k}={v!r}" for k, v in sorted(self.tolerances.items()))
-        print(f"# command={self.command} mode={self.mode} seed={self.seed} {tols}", file=out)
+        print(f"# command={self.command} mode={self.mode} {tols}", file=out)
         for name, digest in sorted(self.inputs.items()):
             print(f"# input {name} sha256={digest}", file=out)
         for key, value in self.verdicts.items():
@@ -105,12 +108,9 @@ def _digest(path: str) -> str:
 
 def _numeric_mode(args) -> NumericMode:
     kind = args.numeric_mode or os.environ.get("THERMO_ORDER_MODE", "float")
-    if kind not in ("float", "rational"):
-        raise ValueError(f"unknown numeric mode {kind!r}")
     if kind == "rational":
         return NumericMode.rational()
-    tol = args.tol if args.tol is not None else CMP_TOL
-    return NumericMode.float64(cmp_tol=tol)
+    return NumericMode(kind, CMP_TOL if args.tol is None else args.tol)
 
 
 def _load(path: str, mode: NumericMode) -> BlockState:
@@ -122,24 +122,19 @@ def _parse_alphas(text: str):
     return tuple(Alpha.from_label(part) for part in text.split(",") if part.strip())
 
 
-def _report_for(args, command: str, paths: dict) -> RunReport:
-    mode = _numeric_mode(args)
-    report = RunReport(
-        command=command,
-        mode=mode.kind,
-        tolerances={"cmp_tol": mode.cmp_tol, "norm_tol": mode.norm_tol},
-        seed=getattr(args, "seed", 0),
-        inputs={name: _digest(p) for name, p in paths.items()},
-    )
-    return report
+def _tolerance(text: str) -> float:
+    """--tol value: a finite float >= 0."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, not {text}")
+    return value
 
 
-def cmd_check(args, out) -> int:
-    mode = _numeric_mode(args)
-    report = _report_for(args, "check", {"initial": args.initial, "final": args.final})
+def cmd_check(args, mode: NumericMode, report: RunReport, out) -> int:
     a = _load(args.initial, mode)
     b = _load(args.final, mode)
     alphas = _parse_alphas(args.alphas) if args.alphas else None
+    tol = max(mode.cmp_tol, FREE_ENERGY_FLOOR)
     if args.mode == "plain":
         cmp_result = thermomajorizes(a, b, mode.cmp_tol)
         possible = cmp_result.dominates
@@ -150,14 +145,13 @@ def cmd_check(args, out) -> int:
             report.numbers["worst_violation_x"] = float(x)
             report.numbers["worst_violation_gap"] = float(gap)
     elif args.mode == "catalytic":
-        verdict = catalytic_possible(a, b, alphas, tol=max(mode.cmp_tol, 1e-15))
+        verdict = catalytic_possible(a, b, alphas, tol=tol)
         possible = verdict.possible
         if not possible:
             report.verdicts["violating_alphas"] = ",".join(
                 v.label() for v in verdict.diagnostics
             )
     else:
-        tol = max(mode.cmp_tol, 1e-15)
         verdict = correlating_catalytic_possible(a, b, tol=tol)
         possible = verdict.possible
         delta_f1 = free_energy_gap(b, ALPHA_1) - free_energy_gap(a, ALPHA_1)
@@ -168,14 +162,10 @@ def cmd_check(args, out) -> int:
                 "target with vanishing correlations forces unbounded catalyst dimension"
             )
     report.verdicts["possible"] = possible
-    report.print_text(out)
-    _maybe_write_report(args, report)
     return EXIT_OK if possible else EXIT_IMPOSSIBLE
 
 
-def cmd_sweep(args, out) -> int:
-    mode = _numeric_mode(args)
-    report = _report_for(args, "sweep", {"initial": args.initial, "final": args.final})
+def cmd_sweep(args, mode: NumericMode, report: RunReport, out) -> int:
     a = _load(args.initial, mode)
     b = _load(args.final, mode)
     alphas = _parse_alphas(args.alphas) if args.alphas else default_alpha_grid()
@@ -192,14 +182,10 @@ def cmd_sweep(args, out) -> int:
     intervals = profile.sign_intervals()
     pretty = "; ".join(f"{s} on [{lo.label()}, {hi.label()}]" for s, lo, hi in intervals)
     report.verdicts["sign_intervals"] = pretty
-    report.print_text(out)
-    _maybe_write_report(args, report)
     return EXIT_OK
 
 
-def cmd_lorenz(args, out) -> int:
-    mode = _numeric_mode(args)
-    report = _report_for(args, "lorenz", {"state": args.state})
+def cmd_lorenz(args, mode: NumericMode, report: RunReport, out) -> int:
     s = _load(args.state, mode)
     curve = thermal_lorenz(s)
     if args.out:
@@ -210,14 +196,10 @@ def cmd_lorenz(args, out) -> int:
         curve.write_csv(out)
     report.numbers["breakpoints"] = len(curve.points)
     report.numbers["x_extent"] = float(curve.x_extent)
-    report.print_text(out)
-    _maybe_write_report(args, report)
     return EXIT_OK
 
 
-def cmd_search(args, out) -> int:
-    mode = _numeric_mode(args)
-    report = _report_for(args, "search", {"initial": args.initial, "final": args.final})
+def cmd_search(args, mode: NumericMode, report: RunReport, out) -> int:
     a = _load(args.initial, mode)
     b = _load(args.final, mode)
     config = SearchConfig()
@@ -225,19 +207,15 @@ def cmd_search(args, out) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = SearchConfig.from_json_obj(json.load(fh))
         report.inputs["config"] = _digest(args.config)
-    try:
-        result = search_correlating_catalyst(a, b, config)
-    except ValueError as exc:
+    verdict = correlating_catalytic_possible(a, b)
+    if not verdict.possible:
         report.verdicts["found"] = False
-        report.verdicts["precondition"] = str(exc)
-        report.print_text(out)
-        _maybe_write_report(args, report)
+        report.verdicts["precondition"] = f"correlating transition is impossible: {verdict.reason}"
         return EXIT_IMPOSSIBLE
+    result = search_correlating_catalyst(a, b, config)
     if result is None:
         report.verdicts["found"] = False
         report.verdicts["note"] = "not found at this resolution"
-        report.print_text(out)
-        _maybe_write_report(args, report)
         return EXIT_IMPOSSIBLE
     report.verdicts["found"] = True
     report.verdicts["curve"] = result.comparison.verdict
@@ -254,14 +232,10 @@ def cmd_search(args, out) -> int:
         }
         save_json(payload, args.out)
         report.outputs.append(args.out)
-    report.print_text(out)
-    _maybe_write_report(args, report)
     return EXIT_OK
 
 
-def cmd_witness(args, out) -> int:
-    mode = _numeric_mode(args)
-    report = _report_for(args, "witness", {"initial": args.initial, "final": args.final})
+def cmd_witness(args, mode: NumericMode, report: RunReport, out) -> int:
     a = _load(args.initial, mode)
     b = _load(args.final, mode)
     witness = find_witness(a, b)
@@ -273,8 +247,6 @@ def cmd_witness(args, out) -> int:
             x, gap = cmp_result.violations[0]
             report.numbers["violating_breakpoint_x"] = float(x)
             report.numbers["violating_breakpoint_gap"] = float(gap)
-        report.print_text(out)
-        _maybe_write_report(args, report)
         return EXIT_IMPOSSIBLE
     gamma = gibbs_state(a.ham).probs
     report.verdicts["feasible"] = True
@@ -284,35 +256,22 @@ def cmd_witness(args, out) -> int:
     if args.out:
         save_json(witness.to_json_obj(a.probs, b.probs, gamma), args.out)
         report.outputs.append(args.out)
-    report.print_text(out)
-    _maybe_write_report(args, report)
     return EXIT_OK
 
 
-def cmd_work(args, out) -> int:
-    mode = _numeric_mode(args)
-    report = _report_for(args, "work", {"state": args.state})
+def cmd_work(args, mode: NumericMode, report: RunReport, out) -> int:
     s = _load(args.state, mode)
     wq = work_quantities(s)
     report.numbers["w_ext_deterministic_f0"] = wq.f0
     report.numbers["w_correlated_f1"] = wq.f1
     report.numbers["w_form_finf"] = wq.finf
-    report.print_text(out)
-    _maybe_write_report(args, report)
     return EXIT_OK
 
 
-def _maybe_write_report(args, report: RunReport) -> None:
-    if getattr(args, "report", None):
-        save_json(report.to_json_obj(), args.report)
-
-
-def cmd_example(args, out) -> int:
+def cmd_example(args, mode: NumericMode, report: RunReport, out) -> int:
     """Full demo pipeline; PASS/FAIL per step, exit 0 only if all reproduce."""
-    mode = _numeric_mode(args)
     x10 = args.x10 if args.x10 is not None else float(demo.CATALYST_X10)
     eps = args.epsilon if args.epsilon is not None else demo.FAIL_PROB
-    report = _report_for(args, "example", {})
     report.numbers.update({
         "beta_e": demo.BETA_E, "beta_w": demo.BETA_W,
         "ground_pop": demo.GROUND_POP, "fail_prob": eps,
@@ -344,7 +303,7 @@ def cmd_example(args, out) -> int:
     for a_val in (0.5, 2.0, 4.0, 10.0):
         closed = work_bit_delta_f(demo.BETA_E, demo.BETA_W, demo.GROUND_POP, eps, a_val)
         worst = max(worst, abs(profile.value_at(Alpha(a_val)) - closed))
-    step("closed-form-match", worst < 1e-10, f"max deviation {format_number(worst)}")
+    step("closed-form-match", worst < CLOSED_FORM_TOL, f"max deviation {format_number(worst)}")
     if outdir:
         path = os.path.join(outdir, "sweep.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -362,8 +321,6 @@ def cmd_example(args, out) -> int:
              "joint " + ",".join(format_number(float(v)) for v in joint.probs))
     except ValueError as exc:
         step("catalyst-construction", False, str(exc))
-        report.print_text(out)
-        _maybe_write_report(args, report)
         return EXIT_IMPOSSIBLE
 
     c1, c2 = marginal(joint, 0), marginal(joint, 1)
@@ -389,7 +346,7 @@ def cmd_example(args, out) -> int:
     # 6. total correlation stays within the free-energy budget
     info = total_correlation(joint)
     budget = free_energy_gap(initial, ALPHA_1) - free_energy_gap(final, ALPHA_1)
-    step("correlation-budget", 0 < info <= budget + 1e-12,
+    step("correlation-budget", 0 < info <= budget + BUDGET_TOL,
          f"I={format_number(info)} budget={format_number(budget)}")
     if outdir:
         path = os.path.join(outdir, "joint.json")
@@ -409,7 +366,7 @@ def cmd_example(args, out) -> int:
     else:
         gamma = gibbs_state(big_initial.ham).probs
         res = witness.residuals(big_initial.probs, big_final.probs, gamma)
-        ok = res["map"] < 1e-8 and res["gibbs"] < 1e-9
+        ok = res["map"] < WITNESS_MAP_TOL and res["gibbs"] < WITNESS_GIBBS_TOL
         step("witness-extraction", ok,
              f"map residual {format_number(res['map'])}, "
              f"gibbs residual {format_number(res['gibbs'])}")
@@ -426,8 +383,6 @@ def cmd_example(args, out) -> int:
                 thermal_lorenz(state).write_csv(fh)
             report.outputs.append(path)
 
-    report.print_text(out)
-    _maybe_write_report(args, report)
     if failures:
         print(f"failed steps: {', '.join(failures)}", file=out)
         return EXIT_IMPOSSIBLE
@@ -439,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--numeric-mode", choices=["float", "rational"],
                         default=argparse.SUPPRESS,
                         help="numeric regime; defaults to $THERMO_ORDER_MODE or float")
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="curve-comparison tolerance (float mode)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed recorded in reports")
+    common.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS,
+                        help="curve-comparison tolerance in float mode, finite and "
+                             f">= 0 (default {CMP_TOL}); free energies use "
+                             f"max(tol, {FREE_ENERGY_FLOOR})")
     common.add_argument("--report", default=argparse.SUPPRESS,
                         help="write the run report as JSON")
 
@@ -453,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "entropies in nats).",
         parents=[common],
     )
-    parser.set_defaults(numeric_mode=None, tol=None, seed=0, report=None)
+    parser.set_defaults(numeric_mode=None, tol=None, report=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common],
@@ -515,10 +470,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = sys.stdout
     try:
-        return args.func(args, sys.stdout)
+        mode = _numeric_mode(args)
+        report = RunReport(
+            command=args.command,
+            mode=mode.kind,
+            tolerances={"cmp_tol": mode.cmp_tol, "norm_tol": 0.0 if mode.is_exact else NORM_TOL},
+            inputs={name: _digest(getattr(args, name))
+                    for name in ("initial", "final", "state") if hasattr(args, name)},
+        )
+        code = args.func(args, mode, report, out)
+        report.print_text(out)
+        if args.report:
+            save_json(report.to_json_obj(), args.report)
+        return code
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError,
             WitnessNumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .entropies import Alpha, free_energy_gap, nonnegative_alpha_grid, renyi_entropy
-from .modes import is_exact_number
+from .modes import EMBEDDING_TOL, is_exact_number
 from .states import BlockState, gibbs_state
 
 
@@ -116,15 +116,14 @@ def unembed(v, spec: EmbeddingSpec) -> tuple:
     return tuple(out)
 
 
-def embedding_identity_check(s: BlockState, spec: EmbeddingSpec, alphas=None,
-                             gibbs_tol: float = 1e-12) -> float:
+def embedding_identity_check(s: BlockState, spec: EmbeddingSpec, alphas=None) -> float:
     """Worst deviation over the grid between the free-energy gap of s and
     ln D - H_alpha of the embedded distribution.
 
     The identity needs the state's Gibbs entries to be exactly the block
-    fractions d_i/D, and it holds on the nonnegative alpha line (the sign
-    convention flips the ln D term for negative orders), so the default grid
-    is alpha >= 0.
+    fractions d_i/D (within EMBEDDING_TOL for floats), and it holds on the
+    nonnegative alpha line (the sign convention flips the ln D term for
+    negative orders), so the default grid is alpha >= 0.
     """
     gamma = gibbs_state(s.ham).probs
     ref = spec.gibbs_probs()
@@ -133,9 +132,9 @@ def embedding_identity_check(s: BlockState, spec: EmbeddingSpec, alphas=None,
             raise ValueError("embedding blocks do not reproduce the Gibbs state")
     else:
         worst = max(abs(float(a) - float(b)) for a, b in zip(gamma, ref))
-        if worst > gibbs_tol:
+        if worst > EMBEDDING_TOL:
             raise ValueError(
-                f"embedding blocks miss the Gibbs state by {worst} (> {gibbs_tol})"
+                f"embedding blocks miss the Gibbs state by {worst} (> {EMBEDDING_TOL})"
             )
     if alphas is None:
         alphas = nonnegative_alpha_grid()

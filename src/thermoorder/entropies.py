@@ -22,12 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .modes import CMP_TOL
+from .modes import ALPHA_ONE_WINDOW, CMP_TOL, CORRELATION_CLAMP
 from .states import BlockState, JointCatalyst, gibbs_state, marginal, validate_distribution
-
-# Orders closer to 1 than this are evaluated with the alpha=1 formula to
-# dodge the 1/(alpha-1) cancellation.
-ALPHA_ONE_WINDOW = 1e-6
 
 
 @dataclass(frozen=True, order=True)
@@ -40,6 +36,7 @@ class Alpha:
         v = float(self.value)
         if math.isnan(v):
             raise ValueError("alpha cannot be NaN")
+        # the alpha = 1 formula dodges the 1/(alpha-1) cancellation
         if v != 1.0 and abs(v - 1.0) < ALPHA_ONE_WINDOW:
             v = 1.0
         object.__setattr__(self, "value", v)
@@ -236,15 +233,16 @@ class AlphaProfile:
                 return e.value
         raise KeyError(f"alpha {a.label()} not in profile")
 
-    def sign_intervals(self, tol: float = CMP_TOL) -> list:
-        """Compressed runs of the sign of the value along the grid."""
+    def sign_intervals(self) -> list:
+        """Compressed runs of the sign of the value along the grid; values
+        within CMP_TOL of zero count as zero."""
         runs = []
         for e in self.entries:
             if not e.finite and math.isnan(e.value):
                 sign = "undefined"
-            elif e.value > tol:
+            elif e.value > CMP_TOL:
                 sign = "+"
-            elif e.value < -tol:
+            elif e.value < -CMP_TOL:
                 sign = "-"
             else:
                 sign = "0"
@@ -304,13 +302,14 @@ def delta_f_sweep(initial: BlockState, final: BlockState, alphas=None) -> AlphaP
     return AlphaProfile(tuple(entries))
 
 
-def total_correlation(joint: JointCatalyst, clamp_tol: float = 1e-12) -> float:
-    """Sum of marginal Shannon entropies minus the joint Shannon entropy."""
+def total_correlation(joint: JointCatalyst) -> float:
+    """Sum of marginal Shannon entropies minus the joint Shannon entropy;
+    rounding negatives within CORRELATION_CLAMP read as 0."""
     parts = math.fsum(
         renyi_entropy(marginal(joint, k).probs, ALPHA_1) for k in range(joint.subsystems)
     )
     value = parts - renyi_entropy(joint.probs, ALPHA_1)
-    if -clamp_tol < value < 0:
+    if -CORRELATION_CLAMP < value < 0:
         return 0.0
     return value
 

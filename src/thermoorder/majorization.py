@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .entropies import format_number
-from .modes import CMP_TOL, SLOPE_TOL, TIE_TOL, all_exact
+from .modes import CMP_TOL, RISE_TOL, SLOPE_TOL, TIE_TOL, all_exact
 from .states import BlockState, Hamiltonian
 
 ABOVE = "above"
@@ -61,6 +61,7 @@ class LorenzCurve:
     """Concave piecewise-linear curve from (0,0) to (X_total, 1)."""
 
     points: tuple
+    exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = [(x, y) for x, y in self.points]
@@ -75,7 +76,7 @@ class LorenzCurve:
                 continue
             if x < px:
                 raise ValueError("x coordinates must be non-decreasing")
-            if y < py and not (isinstance(y, float) and py - y <= 1e-15):
+            if y < py and not (isinstance(y, float) and py - y <= RISE_TOL):
                 raise ValueError("y must be non-decreasing")
             merged.append((x, y))
         exact = all_exact(x for x, _ in merged) and all_exact(y for _, y in merged)
@@ -87,15 +88,12 @@ class LorenzCurve:
                 raise ValueError("curve is not concave")
             prev = slope
         object.__setattr__(self, "points", tuple(merged))
+        object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_xs", tuple(x for x, _ in merged))
 
     @property
     def x_extent(self):
         return self.points[-1][0]
-
-    @property
-    def exact(self) -> bool:
-        return all_exact(x for x, _ in self.points) and all_exact(y for _, y in self.points)
 
     def value_at(self, x):
         xs = self._xs
@@ -229,40 +227,8 @@ def thermomajorizes(a: BlockState, b: BlockState, cmp_tol: float = CMP_TOL) -> C
     return compare(thermal_lorenz(a), thermal_lorenz(b), cmp_tol)
 
 
-def majorizes(p, q, cmp_tol: float = CMP_TOL) -> CurveComparison:
-    """Partial-sum dominance of sorted vectors; shorter input is zero-padded."""
-    p, q = list(p), list(q)
+def majorizes(p, q) -> CurveComparison:
+    """Partial-sum dominance of sorted probability vectors: the Lorenz curve
+    comparison, with the shorter input zero-padded."""
     n = max(len(p), len(q))
-    p += [0] * (n - len(p))
-    q += [0] * (n - len(q))
-    ps = sorted(p, reverse=True)
-    qs = sorted(q, reverse=True)
-    exact = all_exact(ps) and all_exact(qs)
-    tol = 0 if exact else cmp_tol
-    dips = []
-    has_pos = False
-    min_gap, max_gap = math.inf, -math.inf
-    run_p, run_q = 0, 0
-    for k in range(n - 1):
-        run_p += ps[k]
-        run_q += qs[k]
-        d = run_p - run_q
-        fd = float(d)
-        min_gap = min(min_gap, fd)
-        max_gap = max(max_gap, fd)
-        if d < -tol:
-            dips.append((k + 1, -d))
-        elif d > tol:
-            has_pos = True
-    if n == 1:
-        min_gap = max_gap = 0.0
-    if dips and has_pos:
-        verdict = CROSSING
-    elif dips:
-        verdict = BELOW
-    elif has_pos:
-        verdict = ABOVE
-    else:
-        verdict = EQUAL
-    marginal = verdict == ABOVE and min_gap <= float(tol)
-    return CurveComparison(verdict, tuple(dips), marginal, min_gap, max_gap)
+    return compare(lorenz([*p] + [0] * (n - len(p))), lorenz([*q] + [0] * (n - len(q))))

@@ -1,11 +1,16 @@
-"""Numeric modes and shared tolerance defaults.
+"""Numeric policy: which arithmetic a value uses, and how much slack floats get.
 
 Every quantity in the library is either a float or an exact
-``fractions.Fraction``.  Exactness is inferred from the data: a state whose
-probabilities and Gibbs weights are all rational is processed without any
-tolerance by the ordering, curve, and witness machinery.  Floats get the
-tolerances below.  Curve-tangency verdicts are the reason this distinction
-exists at all; everything else would be happy with plain floats.
+``fractions.Fraction`` (or int). Exactness is decided once, when a value
+object (``Hamiltonian``, ``BlockState``, ``JointCatalyst``, ``LorenzCurve``,
+``StochasticWitness``) is constructed, and stored in its ``exact`` field;
+nothing re-scans the data afterwards. Exact data is compared without any
+slack. Float data gets the slack in the table below, the only place these
+values live. Three of them are also parameters, because callers use more
+than one value: ``cmp_tol`` of ``compare``/``thermomajorizes`` (the CLI's
+``--tol``), ``tol`` of the catalytic criteria (the CLI passes
+``max(cmp_tol, FREE_ENERGY_FLOOR)``) and ``tie_tol`` of ``beta_order`` (the
+witness construction passes 0).
 """
 
 from __future__ import annotations
@@ -14,11 +19,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Default tolerances (Float64 mode).
-NORM_TOL = 1e-12     # |sum(p) - 1| allowed at state construction
-CMP_TOL = 1e-10      # curve dominance comparisons
-TIE_TOL = 1e-12      # beta-ordering tie detection
-SLOPE_TOL = 1e-9     # concavity validation of Lorenz curves
+# Tolerance table (float data only; exact data is compared exactly).
+NORM_TOL = 1e-12              # |sum(p) - 1| allowed at state construction
+CMP_TOL = 1e-10               # default curve-comparison slack (--tol)
+TIE_TOL = 1e-12               # beta ordering: rescaled values this close tie
+SLOPE_TOL = 1e-9              # concavity check of Lorenz curves
+RISE_TOL = 1e-15              # rounding dip allowed in a Lorenz curve's heights
+POSSIBLE_TOL = 1e-10          # default slack of the free-energy criteria
+FREE_ENERGY_FLOOR = 1e-15     # the CLI's free-energy slack is max(cmp_tol, this)
+ALPHA_ONE_WINDOW = 1e-6       # orders closer to 1 use the alpha = 1 formula
+CORRELATION_CLAMP = 1e-12     # total correlations in (-this, 0) read as 0
+SPECTRUM_TOL = 1e-12          # entrywise match of two sorted spectra
+MARGINAL_TOL = 1e-12          # declared catalyst marginals against the joint
+EMBEDDING_TOL = 1e-12         # embedding blocks against a float Gibbs state
+WITNESS_ENTRY_TOL = 1e-9      # clamped negative entries and column sums of a witness
+WITNESS_MAP_TOL = 1e-8        # float witness residual |M p - q|
+WITNESS_GIBBS_TOL = 1e-9      # float witness residual |M g - g|
+GIBBS_DRIFT_TOL = 1e-12       # |M g - g| of a random Gibbs-preserving map
+CLOSED_FORM_TOL = 1e-10       # demo: sweep against the closed-form work-bit gaps
+BUDGET_TOL = 1e-12            # demo: total correlation against its free-energy budget
 
 FLOAT64 = "float"
 EXACT_RATIONAL = "rational"
@@ -26,24 +45,22 @@ EXACT_RATIONAL = "rational"
 
 @dataclass(frozen=True)
 class NumericMode:
-    """Numeric regime plus the tolerance set used for verdicts."""
+    """Numeric regime plus the curve-comparison slack used for verdicts."""
 
     kind: str
-    norm_tol: float = NORM_TOL
     cmp_tol: float = CMP_TOL
-    tie_tol: float = TIE_TOL
 
     def __post_init__(self):
         if self.kind not in (FLOAT64, EXACT_RATIONAL):
             raise ValueError(f"unknown numeric mode {self.kind!r}")
 
     @classmethod
-    def float64(cls, **tols) -> "NumericMode":
-        return cls(FLOAT64, **tols)
+    def float64(cls, cmp_tol: float = CMP_TOL) -> "NumericMode":
+        return cls(FLOAT64, cmp_tol)
 
     @classmethod
     def rational(cls) -> "NumericMode":
-        return cls(EXACT_RATIONAL, norm_tol=0.0, cmp_tol=0.0, tie_tol=0.0)
+        return cls(EXACT_RATIONAL, 0.0)
 
     @property
     def is_exact(self) -> bool:
@@ -57,14 +74,6 @@ def is_exact_number(x) -> bool:
 
 def all_exact(values) -> bool:
     return all(is_exact_number(v) for v in values)
-
-
-def exact_sum(values):
-    """Sum that stays rational for rational input and is compensated for floats."""
-    vals = list(values)
-    if all_exact(vals):
-        return sum(vals, Fraction(0))
-    return math.fsum(float(v) for v in vals)
 
 
 def to_fraction(x) -> Fraction:

@@ -22,7 +22,6 @@ from .modes import (
     NORM_TOL,
     all_exact,
     encode_number,
-    exact_sum,
     is_exact_number,
     parse_number,
     to_fraction,
@@ -35,25 +34,32 @@ def _is_finite(x) -> bool:
     return isinstance(x, float) and math.isfinite(x)
 
 
-def validate_distribution(probs: Sequence, norm_tol: float = NORM_TOL) -> None:
-    """Raise ValueError unless probs is a probability vector.
+def validate_distribution(probs: Sequence) -> bool:
+    """Raise ValueError unless probs is a probability vector; return whether
+    it is exact (all entries rational).
 
-    Exact (all-rational) input must sum to 1 exactly; float input within
-    norm_tol. Nothing is ever silently renormalized.
+    Exact input must sum to 1 exactly; float input within NORM_TOL. Nothing
+    is ever silently renormalized.
     """
     if len(probs) == 0:
         raise ValueError("empty probability vector")
+    exact = True
     for i, p in enumerate(probs):
-        if not _is_finite(p):
-            raise ValueError(f"probability {i} is not finite: {p!r}")
+        if not is_exact_number(p):
+            if not (isinstance(p, float) and math.isfinite(p)):
+                raise ValueError(f"probability {i} is not finite: {p!r}")
+            exact = False
         if p < 0:
             raise ValueError(f"negative probability at index {i}: {p!r}")
-    total = exact_sum(probs)
-    if all_exact(probs):
+    if exact:
+        total = sum(probs, Fraction(0))
         if total != 1:
             raise ValueError(f"exact probabilities sum to {total}, not 1")
-    elif abs(total - 1.0) > norm_tol:
-        raise ValueError(f"probabilities sum to {total!r}, off by more than {norm_tol}")
+        return True
+    total = math.fsum(float(p) for p in probs)
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, off by more than {NORM_TOL}")
+    return False
 
 
 def _exp_neg(level):
@@ -75,6 +81,7 @@ class Hamiltonian:
 
     levels: tuple
     gibbs: tuple = None
+    exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         levels = tuple(self.levels)
@@ -93,6 +100,7 @@ class Hamiltonian:
             if any(not _is_finite(g) or g <= 0 for g in gibbs):
                 raise ValueError("Gibbs weights must be finite and positive")
             object.__setattr__(self, "gibbs", gibbs)
+        object.__setattr__(self, "exact", all_exact(self.gibbs))
 
     @classmethod
     def trivial(cls, n: int) -> "Hamiltonian":
@@ -118,15 +126,13 @@ class Hamiltonian:
 
     @property
     def partition_function(self):
-        return exact_sum(self.gibbs)
+        if self.exact:
+            return sum(self.gibbs, Fraction(0))
+        return math.fsum(float(g) for g in self.gibbs)
 
     @property
     def is_trivial(self) -> bool:
         return all(g == 1 for g in self.gibbs)
-
-    @property
-    def exact(self) -> bool:
-        return all_exact(self.gibbs)
 
     def tensor(self, other: "Hamiltonian") -> "Hamiltonian":
         """Composite Hamiltonian: pairwise level sums, row-major order."""
@@ -141,7 +147,7 @@ class BlockState:
 
     probs: tuple
     ham: Hamiltonian
-    norm_tol: float = field(default=NORM_TOL, compare=False, repr=False)
+    exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         probs = tuple(self.probs)
@@ -150,7 +156,8 @@ class BlockState:
             raise ValueError(
                 f"{len(probs)} probabilities for {len(self.ham)} levels"
             )
-        validate_distribution(probs, self.norm_tol)
+        exact = validate_distribution(probs) and self.ham.exact
+        object.__setattr__(self, "exact", exact)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -158,10 +165,6 @@ class BlockState:
     @property
     def n(self) -> int:
         return len(self.probs)
-
-    @property
-    def exact(self) -> bool:
-        return all_exact(self.probs) and self.ham.exact
 
     @property
     def support_size(self) -> int:
@@ -181,7 +184,7 @@ class BlockState:
 
     def to_float(self) -> "BlockState":
         ham = Hamiltonian(self.ham.levels, tuple(float(g) for g in self.ham.gibbs))
-        return BlockState(tuple(float(p) for p in self.probs), ham, norm_tol=max(self.norm_tol, NORM_TOL))
+        return BlockState(tuple(float(p) for p in self.probs), ham)
 
 
 def gibbs_state(ham: Hamiltonian) -> BlockState:
@@ -214,6 +217,7 @@ class JointCatalyst:
 
     probs: tuple
     dims: tuple
+    exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         probs = tuple(self.probs)
@@ -227,7 +231,7 @@ class JointCatalyst:
             raise ValueError(
                 f"dims {dims} multiply to {total}, but joint has {len(probs)} entries"
             )
-        validate_distribution(probs)
+        object.__setattr__(self, "exact", validate_distribution(probs))
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -235,10 +239,6 @@ class JointCatalyst:
     @property
     def subsystems(self) -> int:
         return len(self.dims)
-
-    @property
-    def exact(self) -> bool:
-        return all_exact(self.probs)
 
     def as_state(self) -> BlockState:
         return BlockState(self.probs, Hamiltonian.trivial(len(self.probs)))

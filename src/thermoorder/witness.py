@@ -17,11 +17,19 @@ exact equality; above, it runs in floats and must pass residual bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .majorization import beta_order, thermomajorizes
-from .modes import all_exact, encode_number, parse_number
+from .modes import (
+    GIBBS_DRIFT_TOL,
+    WITNESS_ENTRY_TOL,
+    WITNESS_GIBBS_TOL,
+    WITNESS_MAP_TOL,
+    all_exact,
+    encode_number,
+    parse_number,
+)
 from .states import BlockState, Hamiltonian, gibbs_state
 
 # Up to this many levels the witness is built in Fractions; above, exact
@@ -38,7 +46,7 @@ class StochasticWitness:
     """Column-stochastic matrix, row-major; columns act on input levels."""
 
     matrix: tuple
-    tol: float = 1e-9
+    exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.matrix)
@@ -49,7 +57,7 @@ class StochasticWitness:
             out = []
             for v in r:
                 if v < 0:
-                    if float(v) < -self.tol:
+                    if float(v) < -WITNESS_ENTRY_TOL:
                         raise ValueError(f"negative matrix entry {v!r}")
                     v = type(v)(0)  # clamp tiny negatives, keeping the numeric type
                 out.append(v)
@@ -58,17 +66,14 @@ class StochasticWitness:
         n_rows, n_cols = len(rows), len(rows[0])
         for j in range(n_cols):
             colsum = math.fsum(float(rows[i][j]) for i in range(n_rows))
-            if abs(colsum - 1.0) > max(self.tol, 1e-12):
+            if abs(colsum - 1.0) > WITNESS_ENTRY_TOL:
                 raise ValueError(f"column {j} sums to {colsum!r}, not 1")
         object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "exact", all(all_exact(r) for r in rows))
 
     @property
     def dims(self) -> tuple:
         return (len(self.matrix), len(self.matrix[0]))
-
-    @property
-    def exact(self) -> bool:
-        return all(all_exact(r) for r in self.matrix)
 
     def apply(self, p) -> tuple:
         """Matrix-vector product; length must match the column count."""
@@ -247,7 +252,7 @@ def find_witness(p: BlockState, q: BlockState):
         return witness
     witness = StochasticWitness(_construct(p.to_float(), q.to_float()))
     r = witness.residuals(p.probs, q.probs, gamma)
-    if r["map"] > 1e-8 or r["gibbs"] > 1e-9:
+    if r["map"] > WITNESS_MAP_TOL or r["gibbs"] > WITNESS_GIBBS_TOL:
         raise WitnessNumericalError(f"witness failed validation: residuals {r}")
     return witness
 
@@ -289,6 +294,6 @@ def random_gibbs_stochastic(ham: Hamiltonian, seed: int, weight: float = 1.0,
         abs(math.fsum(witness.matrix[i][j] * gamma[j] for j in range(n)) - gamma[i])
         for i in range(n)
     )
-    if drift > 1e-12:
+    if drift > GIBBS_DRIFT_TOL:
         raise WitnessNumericalError(f"generated map drifts off the Gibbs state by {drift}")
     return witness

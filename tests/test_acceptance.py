@@ -296,7 +296,7 @@ def test_criterion_10_cli_end_to_end(tmp_path):
         def run(outdir):
             return subprocess.run(
                 [sys.executable, "-m", "thermoorder.cli", "example",
-                 "--outdir", str(outdir), "--seed", "11"],
+                 "--outdir", str(outdir)],
                 capture_output=True, text=True, env=dict(os.environ),
             )
 

@@ -79,6 +79,19 @@ def test_check_float_overflow_exits_two(tmp_path):
     assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_check_rejects_bad_tol(tmp_path, tol):
+    # uniform -> (9/10, 1/10) is impossible; a NaN or infinite slack called it possible
+    a = tmp_path / "a.json"
+    save_json({"levels": [0, 0], "probs": ["1/2", "1/2"]}, a)
+    b = tmp_path / "b.json"
+    save_json({"levels": [0, 0], "probs": ["9/10", "1/10"]}, b)
+    res = run_cli("check", str(a), str(b), f"--tol={tol}")
+    assert res.returncode == 2
+    assert "error: argument --tol" in res.stderr
+    assert res.stdout == ""
+
+
 def test_sweep_writes_csv_with_limit_labels(tmp_path, demo_files):
     out = tmp_path / "sweep.csv"
     res = run_cli("sweep", demo_files["initial"], demo_files["final"], "--out", str(out))
@@ -194,6 +207,15 @@ def test_search_reference_pair_succeeds(tmp_path, demo_files):
 def test_search_reverse_pair_exits_one(demo_files):
     res = run_cli("search", demo_files["final"], demo_files["initial"])
     assert res.returncode == 1
+    assert "precondition: correlating transition is impossible: " in res.stdout
+
+
+def test_search_hamiltonian_mismatch_exits_two(tmp_path, demo_files):
+    other = tmp_path / "other.json"
+    save_json({"levels": [0, 2.0], "probs": [0.5, 0.5]}, other)
+    res = run_cli("search", demo_files["rational"], str(other))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:")
 
 
 def test_example_all_pass(tmp_path):
@@ -212,8 +234,8 @@ def test_example_infeasible_x10_fails_construction():
 
 def test_example_byte_identical_across_runs(tmp_path):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    res1 = run_cli("example", "--outdir", str(out1), "--seed", "7")
-    res2 = run_cli("example", "--outdir", str(out2), "--seed", "7")
+    res1 = run_cli("example", "--outdir", str(out1))
+    res2 = run_cli("example", "--outdir", str(out2))
     assert res1.returncode == res2.returncode == 0
     assert res1.stdout.replace(str(out1), "") == res2.stdout.replace(str(out2), "")
     files1 = sorted(p.name for p in out1.iterdir())

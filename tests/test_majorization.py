@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoorder import (
     ABOVE,
@@ -145,6 +147,45 @@ def test_majorizes_examples():
 def test_majorizes_zero_pads_shorter_vector():
     assert majorizes((1.0,), (0.5, 0.5)).verdict == ABOVE
     assert majorizes((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2), 0)).verdict == EQUAL
+
+
+def _partial_sum_reference(p, q):
+    """(verdict, marginal, violations) of exact vectors from sorted partial sums."""
+    n = max(len(p), len(q))
+    ps = sorted(list(p) + [0] * (n - len(p)), reverse=True)
+    qs = sorted(list(q) + [0] * (n - len(q)), reverse=True)
+    gaps = [sum(ps[:k]) - sum(qs[:k]) for k in range(1, n)]
+    dips = tuple((k, -d) for k, d in enumerate(gaps, 1) if d < 0)
+    rises = any(d > 0 for d in gaps)
+    verdict = CROSSING if dips and rises else BELOW if dips else ABOVE if rises else EQUAL
+    return verdict, verdict == ABOVE and min(gaps) <= 0, dips
+
+
+@st.composite
+def exact_vector_pairs(draw):
+    """Rational distributions of 1..8 entries, zeros allowed; a quarter of
+    the pairs are one vector against a zero-padded permutation of itself."""
+    def distribution():
+        weights = draw(st.lists(st.integers(0, 9), min_size=1, max_size=8).filter(any))
+        return [Fraction(w, sum(weights)) for w in weights]
+
+    p = distribution()
+    if draw(st.integers(0, 3)) == 0:
+        return p, draw(st.permutations(p)) + [0] * draw(st.integers(0, 2))
+    return p, distribution()
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_vector_pairs())
+def test_majorizes_matches_partial_sums(pair):
+    p, q = pair
+    result = majorizes(p, q)
+    assert (result.verdict, result.marginal, result.violations) == _partial_sum_reference(p, q)
+
+
+def test_majorizes_rejects_non_distributions():
+    with pytest.raises(ValueError):
+        majorizes((2, 1), (1, 0))
 
 
 def test_thermomajorization_reduces_to_majorization_for_trivial_ham(rng):

@@ -1,8 +1,11 @@
 import json
 import math
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoorder import (
     BlockState,
@@ -162,6 +165,65 @@ def test_joint_json_round_trip():
     again = joint_from_dict(json.loads(json.dumps(joint_to_dict(j))))
     assert again.probs == j.probs
     assert again.dims == j.dims
+
+
+SUBNORMALS = st.floats(min_value=5e-324, max_value=2.2e-308)
+
+
+@st.composite
+def mixed_distributions(draw, n):
+    """n probabilities mixing ints, Fractions, floats and subnormal floats."""
+    weights = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n).filter(any))
+    probs = []
+    for w in weights:
+        x = Fraction(w, sum(weights))
+        kind = draw(st.sampled_from(("fraction", "float", "subnormal")))
+        if x == 0 and kind == "subnormal":
+            probs.append(draw(SUBNORMALS))
+        elif x.denominator == 1:
+            probs.append(int(x))
+        else:
+            probs.append(float(x) if kind == "float" else x)
+    return tuple(probs)
+
+
+LEVELS = st.one_of(
+    st.integers(-3, 5),
+    st.fractions(min_value=-3, max_value=5, max_denominator=50),
+    st.floats(-3, 5),
+    SUBNORMALS,
+)
+
+
+def _bits(values):
+    return [("float", struct.pack(">d", v)) if isinstance(v, float) else ("exact", Fraction(v))
+            for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(mixed_distributions(n), st.lists(LEVELS, min_size=n, max_size=n))))
+def test_state_json_round_trip_is_bit_exact(data):
+    probs, levels = data
+    s = BlockState(probs, Hamiltonian(tuple(levels)))
+    payload = json.dumps(state_to_dict(s))
+    again = state_from_dict(json.loads(payload))
+    assert _bits(again.probs) == _bits(s.probs)
+    assert _bits(again.ham.levels) == _bits(s.ham.levels)
+    assert again.exact == s.exact
+    assert json.dumps(state_to_dict(again)) == payload
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(((2, 2), (2, 3), (2, 2, 2))).flatmap(
+    lambda dims: st.tuples(st.just(dims), mixed_distributions(math.prod(dims)))))
+def test_joint_json_round_trip_is_bit_exact(data):
+    dims, probs = data
+    j = JointCatalyst(probs, dims)
+    payload = json.dumps(joint_to_dict(j))
+    again = joint_from_dict(json.loads(payload))
+    assert _bits(again.probs) == _bits(j.probs) and again.dims == j.dims
+    assert json.dumps(joint_to_dict(again)) == payload
 
 
 def test_tensor_all_order(rng):
