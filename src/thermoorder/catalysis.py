@@ -11,6 +11,7 @@ fixed-marginal polytope for a certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,18 +19,17 @@ from fractions import Fraction
 from .entropies import (
     ALPHA_1,
     Alpha,
-    default_alpha_grid,
+    delta_f_sweep,
     free_energy_gap,
     renyi_entropy,
     total_correlation,
 )
 from .majorization import CurveComparison, thermomajorizes
-from .modes import MARGINAL_TOL, POSSIBLE_TOL, SPECTRUM_TOL, is_exact_number, to_fraction
+from .modes import POSSIBLE_TOL, SPECTRUM_TOL, is_exact_number, to_fraction
 from .states import (
     BlockState,
     JointCatalyst,
     gibbs_state,
-    marginal,
     product_joint,
     tensor,
     tensor_all,
@@ -49,29 +49,16 @@ class TransitionVerdict:
     reason: str = ""
 
 
-def _gap_pair(a: BlockState, b: BlockState, alpha: Alpha):
-    # free energies share -ln Z, so compare the divergence parts directly
-    return free_energy_gap(a, alpha), free_energy_gap(b, alpha)
-
-
 def catalytic_possible(a: BlockState, b: BlockState, alphas=None,
                        tol: float = POSSIBLE_TOL) -> TransitionVerdict:
     """Exact catalysts, no correlations: every order must not increase.
 
-    The verdict samples the grid; diagnostics list the violating orders.
+    The verdict samples the grid; diagnostics list the violating orders,
+    those where F_alpha(b) - F_alpha(a) exceeds tol (+inf does, nan does not).
     """
     if a.ham != b.ham:
         raise ValueError("transition check needs both states on one Hamiltonian")
-    if alphas is None:
-        alphas = default_alpha_grid()
-    violations = []
-    for alpha in alphas:
-        alpha = Alpha.coerce(alpha)
-        fa, fb = _gap_pair(a, b, alpha)
-        if math.isinf(fa) and fa > 0:
-            continue
-        if (math.isinf(fb) and fb > 0) or fa < fb - tol:
-            violations.append(alpha)
+    violations = [e.alpha for e in delta_f_sweep(a, b, alphas) if e.value > tol]
     if violations:
         labels = ", ".join(v.label() for v in violations[:6])
         return TransitionVerdict(False, CATALYTIC, tuple(violations),
@@ -84,7 +71,7 @@ def correlating_catalytic_possible(a: BlockState, b: BlockState,
     """Correlations allowed: only the standard free energy must not increase."""
     if a.ham != b.ham:
         raise ValueError("transition check needs both states on one Hamiltonian")
-    fa, fb = _gap_pair(a, b, ALPHA_1)
+    fa, fb = free_energy_gap(a, ALPHA_1), free_energy_gap(b, ALPHA_1)
     if fa >= fb - tol:
         return TransitionVerdict(True, CORRELATING)
     return TransitionVerdict(False, CORRELATING, (ALPHA_1,),
@@ -142,25 +129,12 @@ def qubit_pair_catalyst(s, q, x10) -> JointCatalyst:
     return JointCatalyst(entries, (2, 2))
 
 
-def verify_correlating_transition(a: BlockState, b: BlockState, joint: JointCatalyst,
-                                  expected_marginals=None) -> CurveComparison:
+def verify_correlating_transition(a: BlockState, b: BlockState,
+                                  joint: JointCatalyst) -> CurveComparison:
     """Thermal-curve dominance of a next to the uncorrelated catalysts over
     b next to the correlated joint; local catalyst states match by
-    construction, and against expected_marginals when given."""
-    margs = joint.marginals()
-    if expected_marginals is not None:
-        for k, expected in enumerate(expected_marginals):
-            got = margs[k].probs
-            want = tuple(expected)
-            if joint.exact and all(is_exact_number(x) for x in want):
-                ok = got == want
-            else:
-                ok = all(abs(float(x) - float(y)) <= MARGINAL_TOL for x, y in zip(got, want))
-            if not ok:
-                raise ValueError(
-                    f"declared marginal {k} is {want}, joint gives {got}"
-                )
-    initial = tensor_all([a, *margs])
+    construction."""
+    initial = tensor_all([a, *joint.marginals()])
     final = tensor(b, joint.as_state())
     return thermomajorizes(initial, final)
 
@@ -181,6 +155,8 @@ class SearchConfig:
             raise ValueError(f"polytope_grid must be at least 2, not {self.polytope_grid}")
         if self.budget_cells < 1:
             raise ValueError(f"budget_cells must be at least 1, not {self.budget_cells}")
+        if not self.dims:
+            raise ValueError("dims must name at least one catalyst shape")
         for dims in self.dims:
             if tuple(dims) not in ((2, 2), (2, 2, 2)):
                 raise ValueError(f"unsupported catalyst dimensions {dims!r}")
@@ -195,12 +171,24 @@ class SearchConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SearchConfig":
+        """Config from parsed JSON; unknown keys and non-integer values are
+        rejected rather than ignored or truncated."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"search config must be a JSON object, not {type(obj).__name__}")
         kwargs = {}
-        if "dims" in obj:
-            kwargs["dims"] = tuple(tuple(d) for d in obj["dims"])
-        for key in ("marginal_grid", "polytope_grid", "budget_cells"):
-            if key in obj:
-                kwargs[key] = int(obj[key])
+        for key, value in obj.items():
+            if key not in ("dims", "marginal_grid", "polytope_grid", "budget_cells"):
+                raise ValueError(f"unknown search config key {key!r}")
+            if key == "dims":
+                if not isinstance(value, list) or not all(isinstance(d, list) for d in value):
+                    raise ValueError(f"dims must be a list of lists, not {value!r}")
+                numbers = [x for d in value for x in d]
+                value = tuple(tuple(d) for d in value)
+            else:
+                numbers = [value]
+            if any(type(x) is not int for x in numbers):
+                raise ValueError(f"{key} must hold integers, not {obj[key]!r}")
+            kwargs[key] = value
         return cls(**kwargs)
 
 
@@ -217,53 +205,35 @@ def _marginal_values(k: int):
 
 
 def _lattice(lo: Fraction, hi: Fraction, count: int):
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
 
-def _two_qubit_cells(config: SearchConfig):
-    """(s, q, x10) cells; within a marginal pair, x10 walks outward from the
-    uncorrelated product point so low-correlation joints come first."""
-    grid = _marginal_values(config.marginal_grid)
-    for s in grid:
-        for q in grid:
-            lo = max(Fraction(0), q - s)
-            hi = min(q, 1 - s)
-            product_point = q * (1 - s)
-            xs = _lattice(lo, hi, config.polytope_grid)
-            xs.sort(key=lambda x: (abs(x - product_point), x))
-            for x10 in xs:
-                yield qubit_pair_catalyst(s, q, x10)
+def _cells(k: int, config: SearchConfig):
+    """Single-direction slices of the k-qubit fixed-marginal polytope.
 
-
-def _three_qubit_cells(config: SearchConfig):
-    """Single-direction slices of the three-qubit fixed-marginal polytope:
-    each pairwise (and the triple) correlation pattern is swept on its own."""
-    grid = _marginal_values(max(3, config.marginal_grid // 2))
-    patterns = []
-    for mask in (0b110, 0b101, 0b011, 0b111):
-        patterns.append(tuple(
-            (-1) ** (bin(mask & idx).count("1"))
-            for idx in range(8)
-        ))
-    for s in grid:
-        for q in grid:
-            for r in grid:
-                base = [x * y * z for x in (s, 1 - s) for y in (q, 1 - q) for z in (r, 1 - r)]
-                for pat in patterns:
-                    lo = max(-base[i] / pat[i] for i in range(8) if pat[i] > 0)
-                    hi = min(base[i] / -pat[i] for i in range(8) if pat[i] < 0)
-                    if hi <= lo:
-                        continue
-                    lams = _lattice(lo, hi, config.polytope_grid)
-                    lams.sort(key=lambda v: (abs(v), v))
-                    for lam in lams:
-                        probs = tuple(base[i] + lam * pat[i] for i in range(8))
-                        if any(v < 0 for v in probs):
-                            continue
-                        yield JointCatalyst(probs, (2, 2, 2))
+    For each marginal tuple, every qubit subset of size >= 2 gives one
+    correlation pattern: entry i of the product point moves by +-lambda, the
+    sign being (-1)^|subset & i|. Each slice is walked outward from the
+    product point, so low-correlation joints come first.
+    """
+    grid = _marginal_values(config.marginal_grid if k == 2 else max(3, config.marginal_grid // 2))
+    masks = sorted((m for m in range(1, 1 << k) if bin(m).count("1") >= 2),
+                   key=lambda m: (bin(m).count("1"), -m))
+    # two qubits flip the sign, so that lambda runs along x10 = P(1, 0)
+    even_up = k != 2
+    patterns = [[(bin(m & i).count("1") % 2 == 0) == even_up for i in range(1 << k)]
+                for m in masks]
+    dims = (2,) * k
+    for margs in itertools.product(grid, repeat=k):
+        base = [math.prod(xs) for xs in itertools.product(*((x, 1 - x) for x in margs))]
+        for up in patterns:
+            lo = max(-v for v, u in zip(base, up) if u)
+            hi = min(v for v, u in zip(base, up) if not u)
+            lams = _lattice(lo, hi, config.polytope_grid)
+            lams.sort(key=lambda v: (abs(v), v))
+            for lam in lams:
+                yield JointCatalyst(tuple(v + lam if u else v - lam for v, u in zip(base, up)), dims)
 
 
 def search_correlating_catalyst(a: BlockState, b: BlockState,
@@ -282,8 +252,7 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
 
     direct = thermomajorizes(a, b)
     if direct.dominates:
-        dims = config.dims[0] if config.dims else (2, 2)
-        joint = product_joint([[Fraction(1, d)] * d for d in dims])
+        joint = product_joint([[Fraction(1, d)] * d for d in config.dims[0]])
         comparison = verify_correlating_transition(a, b, joint)
         return SearchResult(joint, comparison, 0.0, 0)
 
@@ -292,11 +261,7 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
     budget_i = free_energy_gap(a, ALPHA_1) - free_energy_gap(b, ALPHA_1)
     cells = 0
     for dims in config.dims:
-        if tuple(dims) == (2, 2):
-            generator = _two_qubit_cells(config)
-        else:
-            generator = _three_qubit_cells(config)
-        for joint in generator:
+        for joint in _cells(len(dims), config):
             if cells >= config.budget_cells:
                 return None
             cells += 1
@@ -316,18 +281,6 @@ class WorkQuantities:
     f0: float
     f1: float
     finf: float
-
-    @property
-    def w_ext_deterministic(self) -> float:
-        return self.f0
-
-    @property
-    def w_correlated(self) -> float:
-        return self.f1
-
-    @property
-    def w_form(self) -> float:
-        return self.finf
 
 
 def work_quantities(s: BlockState) -> WorkQuantities:

@@ -288,12 +288,14 @@ def delta_f_sweep(initial: BlockState, final: BlockState, alphas=None) -> AlphaP
         raise ValueError("sweep needs both states on the same Hamiltonian")
     if alphas is None:
         alphas = default_alpha_grid()
+    # both free energies share -ln Z, so their difference is one of
+    # divergences to the one Gibbs vector, with -ln Z cancelled exactly
+    gamma = gibbs_state(initial.ham).probs
     entries = []
     for a in alphas:
         a = Alpha.coerce(a)
-        # both terms share -ln Z, so the gap form cancels it exactly
-        fv = free_energy_gap(final, a)
-        iv = free_energy_gap(initial, a)
+        fv = renyi_divergence(final.probs, gamma, a)
+        iv = renyi_divergence(initial.probs, gamma, a)
         if math.isinf(fv) and math.isinf(iv) and fv == iv:
             value = math.nan
         else:

@@ -30,7 +30,6 @@ FREE_ENERGY_FLOOR = 1e-15     # the CLI's free-energy slack is max(cmp_tol, this
 ALPHA_ONE_WINDOW = 1e-6       # orders closer to 1 use the alpha = 1 formula
 CORRELATION_CLAMP = 1e-12     # total correlations in (-this, 0) read as 0
 SPECTRUM_TOL = 1e-12          # entrywise match of two sorted spectra
-MARGINAL_TOL = 1e-12          # declared catalyst marginals against the joint
 EMBEDDING_TOL = 1e-12         # embedding blocks against a float Gibbs state
 WITNESS_ENTRY_TOL = 1e-9      # clamped negative entries and column sums of a witness
 WITNESS_MAP_TOL = 1e-8        # float witness residual |M p - q|

@@ -287,7 +287,10 @@ def test_search_honors_config_file(tmp_path, demo_files):
     assert "not found at this resolution" in res.stdout
 
 
-@pytest.mark.parametrize("bad", [{"polytope_grid": 1}, {"marginal_grid": 0}])
+@pytest.mark.parametrize("bad", [
+    {"polytope_grid": 1}, {"marginal_grid": 0}, {"polytope_grd": 3}, [],
+    {"polytope_grid": 5.7}, {"marginal_grid": True}, {"dims": [[2, 2.0]]}, {"dims": []},
+])
 def test_search_rejects_bad_config_file(tmp_path, demo_files, bad):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(bad))

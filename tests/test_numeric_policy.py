@@ -21,6 +21,25 @@ def test_small_float_literals_live_only_in_the_tolerance_table():
     assert not found, found
 
 
+def test_every_tolerance_in_the_table_is_used():
+    package = pathlib.Path(thermoorder.__file__).parent
+    modes = ast.parse((package / "modes.py").read_text(encoding="utf-8"))
+    table = {target.id for node in modes.body if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Constant) and isinstance(node.value.value, float)
+             for target in node.targets}
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "modes.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert table, "no tolerance table found in modes.py"
+    assert not table - used, sorted(table - used)
+
+
 @pytest.mark.parametrize("cls", [Hamiltonian, BlockState, JointCatalyst, LorenzCurve, StochasticWitness])
 def test_exactness_is_decided_once_at_construction(cls):
     exact = {f.name: f for f in dataclasses.fields(cls)}["exact"]
