@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .entropies import (
+    ALPHA_0,
     ALPHA_1,
-    Alpha,
+    ALPHA_INF,
+    _divergences,
+    _entropies,
     delta_f_sweep,
     free_energy_gap,
-    renyi_entropy,
     total_correlation,
 )
 from .majorization import CurveComparison, thermomajorizes
@@ -102,8 +104,7 @@ def ctrump_possible(p, q) -> TransitionVerdict:
     if rank_p > rank_q:
         return TransitionVerdict(False, CORRELATING,
                                  reason=f"support would shrink ({rank_p} -> {rank_q})")
-    hp = renyi_entropy(p, ALPHA_1)
-    hq = renyi_entropy(q, ALPHA_1)
+    (hp,), (hq,) = _entropies(p, [ALPHA_1]), _entropies(q, [ALPHA_1])
     if hp < hq:
         return TransitionVerdict(True, CORRELATING)
     return TransitionVerdict(False, CORRELATING,
@@ -284,11 +285,8 @@ class WorkQuantities:
 
 
 def work_quantities(s: BlockState) -> WorkQuantities:
-    return WorkQuantities(
-        f0=free_energy_gap(s, Alpha(0.0)),
-        f1=free_energy_gap(s, ALPHA_1),
-        finf=free_energy_gap(s, Alpha(math.inf)),
-    )
+    gamma = gibbs_state(s.ham).probs
+    return WorkQuantities(*_divergences(s.probs, gamma, (ALPHA_0, ALPHA_1, ALPHA_INF)))
 
 
 def smooth_toward_gibbs(b: BlockState, epsilon) -> BlockState:

@@ -240,7 +240,8 @@ def cmd_witness(args, mode: NumericMode, report: RunReport, out) -> int:
     b = _load(args.final, mode)
     witness = find_witness(a, b)
     if witness is None:
-        cmp_result = thermomajorizes(a, b, mode.cmp_tol)
+        # the exact comparison find_witness decided on; floats can tie where it does not
+        cmp_result = thermomajorizes(a.to_exact(), b.to_exact())
         report.verdicts["feasible"] = False
         report.verdicts["curve"] = cmp_result.verdict
         if cmp_result.violations:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .entropies import Alpha, free_energy_gap, nonnegative_alpha_grid, renyi_entropy
+from .entropies import Alpha, _divergences, _entropies, nonnegative_alpha_grid
 from .modes import EMBEDDING_TOL, is_exact_number
 from .states import BlockState, gibbs_state
 
@@ -136,17 +136,15 @@ def embedding_identity_check(s: BlockState, spec: EmbeddingSpec, alphas=None) ->
             raise ValueError(
                 f"embedding blocks miss the Gibbs state by {worst} (> {EMBEDDING_TOL})"
             )
-    if alphas is None:
-        alphas = nonnegative_alpha_grid()
-    embedded = embed(s.probs, spec)
+    alphas = [Alpha.coerce(a) for a in (nonnegative_alpha_grid() if alphas is None else alphas)]
+    if any(a.value < 0 for a in alphas):
+        raise ValueError("the embedding identity is stated for alpha >= 0")
+    gaps = _divergences(s.probs, gamma, alphas)
+    entropies = _entropies(embed(s.probs, spec), alphas)
     log_d = math.log(spec.D)
     worst = 0.0
-    for a in alphas:
-        a = Alpha.coerce(a)
-        if a.value < 0:
-            raise ValueError("the embedding identity is stated for alpha >= 0")
-        lhs = free_energy_gap(s, a)
-        rhs = log_d - renyi_entropy(embedded, a)
+    for lhs, h in zip(gaps, entropies):
+        rhs = log_d - h
         if math.isinf(lhs) or math.isinf(rhs):
             if lhs != rhs:
                 return math.inf

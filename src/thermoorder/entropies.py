@@ -6,6 +6,12 @@ are handled by their own formulas, never by plugging a large float into the
 generic expression. Divergent results are a deliberate ``math.inf``, not an
 overflow artifact: all power sums are evaluated in log space.
 
+One evaluator, ``_divergences``, holds those formulas and the zero
+conventions, and an entropy is minus the divergence to the all-ones measure:
+H_alpha(p) = -S_alpha(p || 1). Only the raw-sequence entry points
+(``renyi_entropy``, ``renyi_divergence``) validate; states and joints were
+validated when built, and each function taking them makes one evaluator call.
+
 Zero-probability conventions (fixed here so verdicts are deterministic):
 
 * entropy, alpha > 0: sum over the support.
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .modes import ALPHA_ONE_WINDOW, CMP_TOL, CORRELATION_CLAMP
-from .states import BlockState, JointCatalyst, gibbs_state, marginal, validate_distribution
+from .states import BlockState, JointCatalyst, gibbs_state, validate_distribution
 
 
 @dataclass(frozen=True, order=True)
@@ -126,26 +132,46 @@ def _log_power_sum(terms: Iterable[float]) -> float:
     return m + math.log(math.fsum(math.exp(t - m) for t in logs))
 
 
+def _divergences(p, q, alphas) -> list:
+    """S_alpha(p||q) at each ``Alpha`` in alphas, reading p and q once.
+    Unvalidated: p must be a probability vector and q a nonnegative vector
+    of the same length (all ones gives -H_alpha(p))."""
+    # drop levels unoccupied on both sides
+    pairs = [(float(x), float(y)) for x, y in zip(p, q) if x > 0 or y > 0]
+    p_only = any(y == 0 for x, y in pairs if x > 0)
+    q_only = any(x == 0 for x, y in pairs if y > 0)
+    joint = [(x, y) for x, y in pairs if x > 0 and y > 0]
+    logs = [(math.log(x), math.log(y)) for x, y in joint]
+    out = []
+    for a in alphas:
+        v = a.value
+        if a.is_zero:
+            covered = math.fsum(y for x, y in pairs if x > 0)
+            out.append(-math.log(covered) if covered > 0 else math.inf)
+        elif a.is_neg_inf:
+            out.append(math.inf if q_only else math.log(max(y / x for x, y in joint)))
+        elif (v >= 1 and p_only) or (v < 0 and q_only) or not joint:
+            out.append(math.inf)
+        elif a.is_one:
+            out.append(math.fsum(x * math.log(x / y) for x, y in joint))
+        elif a.is_inf:
+            out.append(math.log(max(x / y for x, y in joint)))
+        else:
+            lse = _log_power_sum(v * lx + (1.0 - v) * ly for lx, ly in logs)
+            out.append((1.0 if v > 0 else -1.0) / (v - 1.0) * lse)
+    return out
+
+
+def _entropies(p, alphas) -> list:
+    """H_alpha(p) = -S_alpha(p || all ones) at each order, unvalidated."""
+    return [-d for d in _divergences(p, (1,) * len(p), alphas)]
+
+
 def renyi_entropy(p: Sequence, a) -> float:
     """H_alpha(p); +-inf are legitimate values for degenerate inputs."""
     a = Alpha.coerce(a)
     validate_distribution(p)
-    support = [float(x) for x in p if x > 0]
-    has_zero = len(support) < len(p)
-    if a.is_one:
-        return -math.fsum(x * math.log(x) for x in support)
-    if a.is_zero:
-        return math.log(len(support))
-    if a.is_inf:
-        return -math.log(max(support))
-    if a.is_neg_inf:
-        return -math.inf if has_zero else math.log(min(support))
-    v = a.value
-    if v < 0 and has_zero:
-        return -math.inf
-    lse = _log_power_sum(v * math.log(x) for x in support)
-    sign = 1.0 if v > 0 else -1.0
-    return sign / (1.0 - v) * lse
+    return _entropies(p, [a])[0]
 
 
 def renyi_divergence(p: Sequence, q: Sequence, a) -> float:
@@ -155,47 +181,13 @@ def renyi_divergence(p: Sequence, q: Sequence, a) -> float:
     validate_distribution(q)
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    # drop levels unoccupied on both sides
-    pairs = [(float(x), float(y)) for x, y in zip(p, q) if x > 0 or y > 0]
-    p_only = any(y == 0 for x, y in pairs if x > 0)
-    q_only = any(x == 0 for x, y in pairs if y > 0)
-
-    if a.is_one:
-        if p_only:
-            return math.inf
-        return math.fsum(x * math.log(x / y) for x, y in pairs if x > 0)
-    if a.is_zero:
-        covered = math.fsum(y for x, y in pairs if x > 0)
-        return -math.log(covered) if covered > 0 else math.inf
-    if a.is_inf:
-        if p_only:
-            return math.inf
-        return math.log(max(x / y for x, y in pairs if x > 0))
-    if a.is_neg_inf:
-        return renyi_divergence(q, p, ALPHA_INF)
-
-    v = a.value
-    if v > 1 and p_only:
-        return math.inf
-    if v < 0 and q_only:
-        return math.inf
-    joint = [(x, y) for x, y in pairs if x > 0 and y > 0]
-    if not joint:
-        return math.inf
-    lse = _log_power_sum(v * math.log(x) + (1.0 - v) * math.log(y) for x, y in joint)
-    sign = 1.0 if v > 0 else -1.0
-    return sign / (v - 1.0) * lse
+    return _divergences(p, q, [a])[0]
 
 
 def free_energy_alpha(s: BlockState, a) -> float:
     """F_alpha relative to nothing: -ln Z + S_alpha(p || gibbs)."""
-    a = Alpha.coerce(a)
-    gamma = gibbs_state(s.ham)
-    log_z = math.log(float(s.ham.partition_function))
-    div = renyi_divergence(s.probs, gamma.probs, a)
-    if math.isinf(div):
-        return div
-    return -log_z + div
+    div = free_energy_gap(s, a)
+    return div if math.isinf(div) else -math.log(float(s.ham.partition_function)) + div
 
 
 def free_energy_gap(s: BlockState, a) -> float:
@@ -203,8 +195,8 @@ def free_energy_gap(s: BlockState, a) -> float:
 
     Evaluating the divergence avoids the -ln Z cancellation, so gaps near
     zero keep full precision."""
-    gamma = gibbs_state(s.ham)
-    return renyi_divergence(s.probs, gamma.probs, Alpha.coerce(a))
+    a = Alpha.coerce(a)
+    return _divergences(s.probs, gibbs_state(s.ham).probs, [a])[0]
 
 
 @dataclass(frozen=True)
@@ -283,23 +275,19 @@ def format_number(x: float) -> str:
 
 
 def delta_f_sweep(initial: BlockState, final: BlockState, alphas=None) -> AlphaProfile:
-    """F_alpha(final) - F_alpha(initial) over the grid."""
+    """F_alpha(final) - F_alpha(initial) over the grid (at least one order)."""
     if initial.ham != final.ham:
         raise ValueError("sweep needs both states on the same Hamiltonian")
-    if alphas is None:
-        alphas = default_alpha_grid()
+    alphas = [Alpha.coerce(a) for a in (default_alpha_grid() if alphas is None else alphas)]
+    if not alphas:
+        raise ValueError("sweep needs at least one order")
     # both free energies share -ln Z, so their difference is one of
     # divergences to the one Gibbs vector, with -ln Z cancelled exactly
     gamma = gibbs_state(initial.ham).probs
     entries = []
-    for a in alphas:
-        a = Alpha.coerce(a)
-        fv = renyi_divergence(final.probs, gamma, a)
-        iv = renyi_divergence(initial.probs, gamma, a)
-        if math.isinf(fv) and math.isinf(iv) and fv == iv:
-            value = math.nan
-        else:
-            value = fv - iv
+    for a, fv, iv in zip(alphas, _divergences(final.probs, gamma, alphas),
+                         _divergences(initial.probs, gamma, alphas)):
+        value = math.nan if math.isinf(fv) and fv == iv else fv - iv
         entries.append(ProfileEntry(a, value, math.isfinite(value)))
     return AlphaProfile(tuple(entries))
 
@@ -307,10 +295,8 @@ def delta_f_sweep(initial: BlockState, final: BlockState, alphas=None) -> AlphaP
 def total_correlation(joint: JointCatalyst) -> float:
     """Sum of marginal Shannon entropies minus the joint Shannon entropy;
     rounding negatives within CORRELATION_CLAMP read as 0."""
-    parts = math.fsum(
-        renyi_entropy(marginal(joint, k).probs, ALPHA_1) for k in range(joint.subsystems)
-    )
-    value = parts - renyi_entropy(joint.probs, ALPHA_1)
+    parts = math.fsum(_entropies(m.probs, [ALPHA_1])[0] for m in joint.marginals())
+    value = parts - _entropies(joint.probs, [ALPHA_1])[0]
     if -CORRELATION_CLAMP < value < 0:
         return 0.0
     return value

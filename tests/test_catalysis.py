@@ -62,18 +62,38 @@ def test_demo_transition_fails_catalytic_check(demo_pair):
 def test_catalytic_check_builds_the_gibbs_state_once(demo_pair, monkeypatch):
     import thermoorder.catalysis
     import thermoorder.entropies
+    import thermoorder.states
 
-    calls = []
+    calls, validations = [], []
 
     def counting(ham):
         calls.append(ham)
         return gibbs_state(ham)
 
+    def counting_validation(probs, _validate=thermoorder.states.validate_distribution):
+        validations.append(probs)
+        return _validate(probs)
+
     for module in (thermoorder.entropies, thermoorder.catalysis):
         monkeypatch.setattr(module, "gibbs_state", counting)
+    for module in (thermoorder.states, thermoorder.entropies, thermoorder.catalysis):
+        monkeypatch.setattr(module, "validate_distribution", counting_validation)
     initial, final = demo_pair
     assert not catalytic_possible(initial, final).possible
     assert len(calls) == 1
+    # the Gibbs state's construction; the 64 orders re-validate nothing
+    assert len(validations) <= 1
+
+    joint = product_joint([(Fraction(1, 3), Fraction(2, 3))] * 3)
+    validations.clear()
+    total_correlation(joint)
+    assert len(validations) == 3  # one per marginal state built
+
+
+def test_catalytic_check_rejects_an_empty_order_list(demo_pair):
+    initial, final = demo_pair
+    with pytest.raises(ValueError, match="at least one order"):
+        catalytic_possible(initial, final, ())
 
 
 def test_catalytic_check_reflexive(demo_pair):

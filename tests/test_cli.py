@@ -176,6 +176,29 @@ def test_witness_infeasible_pair_reports_breakpoint(tmp_path):
     assert "violating_breakpoint_x" in res.stdout
 
 
+def test_witness_reports_the_exact_comparison_on_a_float_near_tie(tmp_path):
+    # 1e-14 of mass moved: float curves tie within cmp_tol, exact ones do not
+    levels = [0, 0.4, 1.1, 2]
+    a = tmp_path / "a.json"
+    save_json({"levels": levels, "probs": [0.4 + 1e-14, 0.3 - 1e-14, 0.2, 0.1]}, a)
+    b = tmp_path / "b.json"
+    save_json({"levels": levels, "probs": [0.4, 0.3, 0.2, 0.1]}, b)
+    res = run_cli("witness", str(a), str(b))
+    assert res.returncode == 1
+    assert "feasible: False" in res.stdout
+    assert "curve: below" in res.stdout
+    assert "violating_breakpoint_x" in res.stdout
+
+
+@pytest.mark.parametrize("command", [("check", "--mode", "catalytic"), ("sweep",)])
+def test_empty_order_list_exits_two(demo_files, command):
+    res = run_cli(command[0], demo_files["initial"], demo_files["final"], *command[1:],
+                  "--alphas=,")
+    assert res.returncode == 2
+    assert "at least one order" in res.stderr
+    assert "possible: True" not in res.stdout
+
+
 def test_work_command_full_rank_zero_f0(demo_files):
     res = run_cli("work", demo_files["rational"])
     assert res.returncode == 0

@@ -1,7 +1,11 @@
 import math
+import struct
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoorder import (
     ALPHA_0,
@@ -237,6 +241,117 @@ def test_sweep_csv_serialization():
     assert lines[2].startswith("0,")
     assert lines[-1].startswith("inf,")
     assert any(line.startswith("1,") for line in lines)
+
+
+# -- one evaluator: properties against per-order and closed-form values -------
+
+ORDERS = default_alpha_grid() + tuple(Alpha(v) for v in (-0.5, -2.0, -7.5))
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def weights(n):
+    return st.lists(st.integers(0, 30), min_size=n, max_size=n).filter(any)
+
+
+def to_vector(w, exact):
+    total = sum(w)
+    return tuple(Fraction(x, total) if exact else x / total for x in w)
+
+
+@st.composite
+def vectors(draw):
+    n = draw(st.integers(1, 8))
+    return to_vector(draw(weights(n)), draw(st.booleans()))
+
+
+@st.composite
+def state_pairs(draw):
+    n = draw(st.integers(1, 8))
+    exact = draw(st.booleans())
+    if exact:
+        factors = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        ham = Hamiltonian.from_gibbs_factors([Fraction(f, 4) for f in factors])
+    else:
+        ham = Hamiltonian(tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))))
+    return tuple(BlockState(to_vector(draw(weights(n)), exact), ham) for _ in range(2))
+
+
+def closed_form_entropy(p, a):
+    """H_alpha(p) from its own closed forms, independent of the divergence."""
+    support = [float(x) for x in p if x > 0]
+    has_zero = len(support) < len(p)
+    if a.is_one:
+        return -math.fsum(x * math.log(x) for x in support)
+    if a.is_zero:
+        return math.log(len(support))
+    if a.is_inf:
+        return -math.log(max(support))
+    if a.is_neg_inf:
+        return -math.inf if has_zero else math.log(min(support))
+    v = a.value
+    if v < 0 and has_zero:
+        return -math.inf
+    terms = [v * math.log(x) for x in support]
+    m = max(terms)
+    lse = m + math.log(math.fsum(math.exp(t - m) for t in terms))
+    return (1.0 if v > 0 else -1.0) / (1.0 - v) * lse
+
+
+def closed_form_divergence(p, q, a):
+    """S_alpha(p||q) from its own closed forms, one order at a time."""
+    pairs = [(float(x), float(y)) for x, y in zip(p, q) if x > 0 or y > 0]
+    p_only = any(y == 0 for x, y in pairs if x > 0)
+    q_only = any(x == 0 for x, y in pairs if y > 0)
+    if a.is_zero:
+        covered = math.fsum(y for x, y in pairs if x > 0)
+        return -math.log(covered) if covered > 0 else math.inf
+    if a.is_neg_inf:
+        return closed_form_divergence(q, p, ALPHA_INF)
+    v = a.value
+    if (v >= 1 and p_only) or (v < 0 and q_only):
+        return math.inf
+    joint = [(x, y) for x, y in pairs if x > 0 and y > 0]
+    if a.is_one:
+        return math.fsum(x * math.log(x / y) for x, y in joint)
+    if a.is_inf:
+        return math.log(max(x / y for x, y in joint))
+    terms = [v * math.log(x) + (1.0 - v) * math.log(y) for x, y in joint]
+    m = max(terms)
+    lse = m + math.log(math.fsum(math.exp(t - m) for t in terms))
+    return (1.0 if v > 0 else -1.0) / (v - 1.0) * lse
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_pairs())
+def test_sweep_is_the_per_order_divergence_difference(pair):
+    initial, final = pair
+    gamma = gibbs_state(initial.ham).probs
+    profile = delta_f_sweep(initial, final, ORDERS)
+    assert [e.alpha for e in profile] == list(ORDERS)
+    for e in profile:
+        fv = renyi_divergence(final.probs, gamma, e.alpha)
+        iv = renyi_divergence(initial.probs, gamma, e.alpha)
+        if math.isinf(fv) and fv == iv:
+            assert math.isnan(e.value) and not e.finite
+        else:
+            assert bits(e.value) == bits(fv - iv), e.alpha.label()
+            assert bits(free_energy_gap(final, e.alpha)) == bits(fv)
+        assert bits(fv) == bits(closed_form_divergence(final.probs, gamma, e.alpha))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors())
+def test_renyi_entropy_matches_the_closed_forms(p):
+    for a in ORDERS:
+        got, want = renyi_entropy(p, a), closed_form_entropy(p, a)
+        if a.is_neg_inf:
+            # 1/min(p) is rounded before its log is taken: one ulp, or -0.0
+            assert got == want or abs(got - want) <= math.ulp(want), (got, want)
+        else:
+            assert bits(got) == bits(want), a.label()
 
 
 # -- correlation measures ----------------------------------------------------

@@ -40,6 +40,21 @@ def test_every_tolerance_in_the_table_is_used():
     assert not table - used, sorted(table - used)
 
 
+def test_library_code_calls_the_evaluator_not_the_raw_sequence_functions():
+    """renyi_entropy and renyi_divergence validate raw sequences for callers
+    outside the package; inside it, validated data goes to the evaluator."""
+    package = pathlib.Path(thermoorder.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("renyi_entropy", "renyi_divergence"):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, found
+
+
 @pytest.mark.parametrize("cls", [Hamiltonian, BlockState, JointCatalyst, LorenzCurve, StochasticWitness])
 def test_exactness_is_decided_once_at_construction(cls):
     exact = {f.name: f for f in dataclasses.fields(cls)}["exact"]
