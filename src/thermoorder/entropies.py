@@ -67,10 +67,6 @@ class Alpha:
     def is_neg_inf(self) -> bool:
         return self.value == -math.inf
 
-    @property
-    def is_limit(self) -> bool:
-        return self.is_zero or self.is_one or self.is_inf or self.is_neg_inf
-
     def label(self) -> str:
         if self.is_zero:
             return "0"
@@ -95,7 +91,6 @@ ALPHA_NEG_INF = Alpha(-math.inf)
 ALPHA_0 = Alpha(0.0)
 ALPHA_1 = Alpha(1.0)
 ALPHA_INF = Alpha(math.inf)
-LIMIT_ALPHAS = (ALPHA_NEG_INF, ALPHA_0, ALPHA_1, ALPHA_INF)
 
 
 def default_alpha_grid() -> tuple:

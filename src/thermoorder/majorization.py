@@ -38,14 +38,14 @@ class BetaOrdering:
     rescaled: tuple
 
 
-def beta_order(s: BlockState, tie_tol: float = TIE_TOL) -> BetaOrdering:
+def beta_order(s: BlockState) -> BetaOrdering:
     ratios = [p / g for p, g in zip(s.probs, s.ham.gibbs)]
     idx = sorted(range(len(ratios)), key=lambda i: (-ratios[i], -s.probs[i], i))
-    if not s.exact and tie_tol > 0:
+    if not s.exact:
         # chain-group nearly equal rescaled values, then re-break by (p, index)
         groups = []
         for i in idx:
-            if groups and float(ratios[groups[-1][-1]]) - float(ratios[i]) <= tie_tol:
+            if groups and float(ratios[groups[-1][-1]]) - float(ratios[i]) <= TIE_TOL:
                 groups[-1].append(i)
             else:
                 groups.append([i])

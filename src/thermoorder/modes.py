@@ -6,11 +6,10 @@ object (``Hamiltonian``, ``BlockState``, ``JointCatalyst``, ``LorenzCurve``,
 ``StochasticWitness``) is constructed, and stored in its ``exact`` field;
 nothing re-scans the data afterwards. Exact data is compared without any
 slack. Float data gets the slack in the table below, the only place these
-values live. Three of them are also parameters, because callers use more
+values live. Two of them are also parameters, because callers use more
 than one value: ``cmp_tol`` of ``compare``/``thermomajorizes`` (the CLI's
-``--tol``), ``tol`` of the catalytic criteria (the CLI passes
-``max(cmp_tol, FREE_ENERGY_FLOOR)``) and ``tie_tol`` of ``beta_order`` (the
-witness construction passes 0).
+``--tol``) and ``tol`` of the catalytic criteria (the CLI passes
+``max(cmp_tol, FREE_ENERGY_FLOOR)``).
 """
 
 from __future__ import annotations

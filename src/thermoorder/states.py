@@ -121,18 +121,10 @@ class Hamiltonian:
         return len(self.levels)
 
     @property
-    def n(self) -> int:
-        return len(self.levels)
-
-    @property
     def partition_function(self):
         if self.exact:
             return sum(self.gibbs, Fraction(0))
         return math.fsum(float(g) for g in self.gibbs)
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(g == 1 for g in self.gibbs)
 
     def tensor(self, other: "Hamiltonian") -> "Hamiltonian":
         """Composite Hamiltonian: pairwise level sums, row-major order."""
@@ -160,10 +152,6 @@ class BlockState:
         object.__setattr__(self, "exact", exact)
 
     def __len__(self) -> int:
-        return len(self.probs)
-
-    @property
-    def n(self) -> int:
         return len(self.probs)
 
     @property
@@ -221,11 +209,12 @@ class JointCatalyst:
 
     def __post_init__(self):
         probs = tuple(self.probs)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(self.dims)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "dims", dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError("subsystem dimensions must be positive")
+        # bools and floats are rejected, not truncated
+        if not dims or any(type(d) is not int or d < 1 for d in dims):
+            raise ValueError(f"subsystem dimensions must be positive integers, not {self.dims!r}")
         total = math.prod(dims)
         if total != len(probs):
             raise ValueError(
@@ -279,13 +268,21 @@ def state_to_dict(s: BlockState) -> dict:
     }
 
 
+def _numbers(d: dict, key: str) -> tuple:
+    """The numbers of the JSON array d[key]; a missing key or any other value
+    is a ValueError."""
+    if not isinstance(d.get(key), (list, tuple)):
+        found = type(d[key]).__name__ if key in d else "no such key"
+        raise ValueError(f"expected a '{key}' array, found {found}")
+    return tuple(parse_number(x) for x in d[key])
+
+
 def state_from_dict(d: dict) -> BlockState:
-    if "probs" not in d:
-        raise ValueError("state file needs a 'probs' array")
-    probs = tuple(parse_number(x) for x in d["probs"])
+    if not isinstance(d, dict):
+        raise ValueError(f"state file must hold a JSON object, not {type(d).__name__}")
+    probs = _numbers(d, "probs")
     if "levels" in d:
-        levels = tuple(parse_number(x) for x in d["levels"])
-        ham = Hamiltonian(levels)
+        ham = Hamiltonian(_numbers(d, "levels"))
     else:
         ham = Hamiltonian.trivial(len(probs))
     return BlockState(probs, ham)
@@ -299,16 +296,13 @@ def joint_to_dict(j: JointCatalyst) -> dict:
 
 
 def joint_from_dict(d: dict) -> JointCatalyst:
-    if "dims" not in d and isinstance(d.get("joint"), dict):
+    if isinstance(d, dict) and "dims" not in d and isinstance(d.get("joint"), dict):
         d = d["joint"]  # accept search-result payloads directly
-    if "dims" not in d:
-        raise ValueError("joint file needs a 'dims' array")
-    if "levels" in d:
-        levels = [parse_number(x) for x in d["levels"]]
-        if any(e != 0 for e in levels):
-            raise ValueError("joint catalysts carry trivial Hamiltonians (all levels 0)")
-    probs = tuple(parse_number(x) for x in d["probs"])
-    return JointCatalyst(probs, tuple(int(x) for x in d["dims"]))
+    if not isinstance(d, dict) or not isinstance(d.get("dims"), list):
+        raise ValueError("joint file needs an object with a 'dims' array")
+    if "levels" in d and any(e != 0 for e in _numbers(d, "levels")):
+        raise ValueError("joint catalysts carry trivial Hamiltonians (all levels 0)")
+    return JointCatalyst(_numbers(d, "probs"), tuple(d["dims"]))
 
 
 def _reject_constant(name: str):

@@ -3,15 +3,18 @@
 A transition between block-diagonal states is possible through a thermal
 process exactly when some column-stochastic matrix fixes the Gibbs state and
 maps the initial distribution to the target, that is, when the initial
-thermal curve dominates the target's. Feasibility is decided by that
-dominance on lossless rational copies of the inputs (every float is a dyadic
-rational), so no tolerance enters the verdict. The matrix is then built
-directly, by the d-majorization construction (Horodecki & Oppenheim, Nat.
-Commun. 4, 2059 (2013); Shiraishi, "Two constructive proofs on
-d-majorization and thermo-majorization"): common cells of the two
-beta-ordered partitions, weighted T-transforms between cells, and a sum
-back into levels. Up to 12 levels it runs in Fractions and is checked by
-exact equality; above, it runs in floats and must pass residual bounds.
+thermal curve dominates the target's. Both questions are answered on one
+object: the common cells of the two beta-ordered partitions of [0, Z], cut
+once, exactly, from lossless rational copies of the inputs (every float is
+a dyadic rational). The running sums of initial minus target cell mass are
+the curve gaps at the union of the breakpoints, so the transition is
+feasible when none is negative, and no tolerance enters the verdict. The
+matrix is then built on the same cells by the d-majorization construction
+(Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013); Shiraishi, "Two
+constructive proofs on d-majorization and thermo-majorization"): weighted
+T-transforms between cells and a sum back into levels. Up to 12 levels it
+runs in Fractions and is checked by exact equality; above, it runs on the
+cells rendered once to floats and must pass residual bounds.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
-from .majorization import beta_order, thermomajorizes
+from .majorization import beta_order
 from .modes import (
     GIBBS_DRIFT_TOL,
     WITNESS_ENTRY_TOL,
@@ -124,64 +128,54 @@ def identity_witness(n: int) -> StochasticWitness:
     ))
 
 
-def _partition(s: BlockState):
-    """Levels of s in beta order and the right ends of their intervals in [0, Z].
+def _cells(p: BlockState, q: BlockState):
+    """Common cells of the beta-ordered partitions of [0, Z] of exact p and q.
 
-    The order is beta_order without its float tie grouping, so the density
-    p_i/g_i never rises along it. The last end is pinned to the partition
-    function, as in thermal_lorenz, so both partitions of one Hamiltonian end
-    on the same point."""
-    perm = beta_order(s, tie_tol=0).perm
-    total = s.ham.partition_function
-    ends, x = [], 0 * total
-    for i in perm[:-1]:
-        x += s.ham.gibbs[i]
-        ends.append(min(x, total))
-    ends.append(total)
-    return perm, ends
-
-
-def _construct(p: BlockState, q: BlockState):
-    """Rows of a column-stochastic M with M g = g and M p = q.
-
-    p, q and their Hamiltonian share one arithmetic (all Fractions or all
-    floats), and the thermal curve of p must dominate that of q. Both
-    beta-ordered partitions of [0, Z] are refined into at most 2n - 1 common
-    cells, on which both densities are non-increasing. Row c of ``rows`` is the map from p's levels
-    to the mass in cell c; it starts as the proportional split of each level's
-    interval. Weighted T-transforms then move mass from the last cell with a
-    surplus over q to the first later cell with a deficit, preserving the
-    cell lengths, until every cell holds q's mass (each step settles one
-    cell). Summing the rows of each q level gives M.
-    """
-    n = len(p)
-    p_perm, p_ends = _partition(p)
-    q_perm, q_ends = _partition(q)
-    zero = 0 * p_ends[-1]
-    # interval lengths, not g: in floats they are what the cells add up to
-    p_len = [hi - lo for lo, hi in zip([zero] + p_ends, p_ends)]
-    q_len = [hi - lo for lo, hi in zip([zero] + q_ends, q_ends)]
-    cells = []  # (length, position in p's order, position in q's order)
+    Each cell is (length, p's level, q's level, p's mass, q's mass); the
+    cells run left to right, so the running sums of p's minus q's mass are
+    the gaps between the two thermal curves at the union of their
+    breakpoints. On exact states beta_order groups no near-ties, so the
+    density p_i/g_i never rises along it."""
+    g, n = p.ham.gibbs, len(p)
+    p_perm, q_perm = beta_order(p).perm, beta_order(q).perm
+    p_left, q_left = g[p_perm[0]], g[q_perm[0]]  # what remains of the current intervals
     a = b = 0
-    x = zero
-    while a < n and b < n:
-        end = min(p_ends[a], q_ends[b])
-        cells.append((end - x, a, b))
-        x = end
-        if p_ends[a] == end:
+    cells = []
+    while a < n:  # both partitions end at Z, so q's ends with p's
+        i, j = p_perm[a], q_perm[b]
+        length = min(p_left, q_left)
+        cells.append((length, i, j, length * p.probs[i] / g[i], length * q.probs[j] / g[j]))
+        p_left -= length
+        q_left -= length
+        if not p_left:
             a += 1
-        if q_ends[b] == end:
+            p_left = g[p_perm[a]] if a < n else 0
+        if not q_left:
             b += 1
+            q_left = g[q_perm[b]] if b < n else 0
+    return cells
+
+
+def _construct(cells, gibbs, n: int):
+    """Rows of a column-stochastic M with M g = g and M p = q, from the cells.
+
+    The cells and the Gibbs weights share one arithmetic (all Fractions or
+    all floats), and every running sum of p's minus q's cell mass is >= 0.
+    Row c of ``rows`` is the map from p's levels to the mass in cell c; it
+    starts as the proportional split of each level's interval. Weighted
+    T-transforms then move mass from the last cell with a surplus over q to
+    the first later cell with a deficit, preserving the cell lengths, until
+    every cell holds q's mass (each step settles one cell). Summing the rows
+    of each q level gives M.
+    """
+    zero = 0 * gibbs[0]
     rows, mass, target = [], [], []
-    for length, a, b in cells:
-        # a float interval of zero length (a Gibbs weight below the resolution
-        # of Z) is one zero-length cell that takes its level's whole mass
-        share = length / p_len[a] if p_len[a] else zero + 1
+    for length, i, _, p_mass, q_mass in cells:
         row = [zero] * n
-        row[p_perm[a]] = share
+        row[i] = length / gibbs[i]
         rows.append(row)
-        mass.append(share * p.probs[p_perm[a]])
-        target.append(length * q.probs[q_perm[b]] / q_len[b] if q_len[b] else zero)
+        mass.append(p_mass)
+        target.append(q_mass)
     m = len(cells)
     while True:
         j = next((c for c in range(m - 1, -1, -1) if mass[c] > target[c]), None)
@@ -189,9 +183,9 @@ def _construct(p: BlockState, q: BlockState):
             break
         k = next((c for c in range(j + 1, m) if mass[c] < target[c]), None)
         if k is None:
-            # dominance leaves every surplus a later deficit, so in floats this
-            # one is rounding (say, the last cell of two partitions whose sums
-            # differ in the last bits): count the cell settled and go on
+            # the exact cells leave every surplus a later deficit, so this one
+            # is the rounding of the masses rendered to floats: count the
+            # cell settled and go on
             mass[j] = target[j]
             continue
         lj, lk = cells[j][0], cells[k][0]
@@ -210,22 +204,23 @@ def _construct(p: BlockState, q: BlockState):
         else:
             mass[j], mass[k] = mass[j] - deficit, target[k]
     matrix = [[zero] * n for _ in range(n)]
-    for (_, _, b), row in zip(cells, rows):
-        out = matrix[q_perm[b]]
-        for j, v in enumerate(row):
-            out[j] += v
+    for (_, _, j, _, _), row in zip(cells, rows):
+        out = matrix[j]
+        for i, v in enumerate(row):
+            out[i] += v
     return tuple(tuple(r) for r in matrix)
 
 
 def find_witness(p: BlockState, q: BlockState):
     """Gibbs-preserving stochastic matrix with M p = q, or None if none exists.
 
-    Feasibility is thermal-curve dominance of lossless rational copies, so no
-    tolerance decides it. Up to EXACT_DIMENSION_LIMIT levels the matrix is
-    built in Fractions and checked by exact equality (float inputs then get
-    its float rendering); above, it is built in floats and must pass the
-    residual bounds. Any returned witness has been re-validated by direct
-    multiplication.
+    Feasibility is read off the exact cells of lossless rational copies (p's
+    curve dominates q's), so no tolerance decides it. Up to
+    EXACT_DIMENSION_LIMIT levels the matrix is built on those cells in
+    Fractions and checked by exact equality (float inputs then get its float
+    rendering); above, it is built on the cells rendered once to floats and
+    must pass the residual bounds. Any returned witness has been re-validated
+    by direct multiplication.
     """
     if p.ham != q.ham:
         raise ValueError("witness search needs both states on the same Hamiltonian")
@@ -237,10 +232,11 @@ def find_witness(p: BlockState, q: BlockState):
         rows = tuple(tuple(gamma[i] for _ in range(n)) for i in range(n))
         return StochasticWitness(rows)
     ep, eq = p.to_exact(), q.to_exact()
-    if not thermomajorizes(ep, eq).dominates:
+    cells = _cells(ep, eq)
+    if min(accumulate(p_mass - q_mass for *_, p_mass, q_mass in cells)) < 0:
         return None
     if n <= EXACT_DIMENSION_LIMIT:
-        witness = StochasticWitness(_construct(ep, eq))
+        witness = StochasticWitness(_construct(cells, ep.ham.gibbs, n))
         exact_gamma = gibbs_state(ep.ham).probs
         # exact arithmetic, so equality is strict
         if witness.apply(ep.probs) != eq.probs or witness.apply(exact_gamma) != exact_gamma:
@@ -250,7 +246,9 @@ def find_witness(p: BlockState, q: BlockState):
                 tuple(tuple(float(v) for v in row) for row in witness.matrix)
             )
         return witness
-    witness = StochasticWitness(_construct(p.to_float(), q.to_float()))
+    cells = [(float(length), i, j, float(p_mass), float(q_mass))
+             for length, i, j, p_mass, q_mass in cells]
+    witness = StochasticWitness(_construct(cells, [float(g) for g in ep.ham.gibbs], n))
     r = witness.residuals(p.probs, q.probs, gamma)
     if r["map"] > WITNESS_MAP_TOL or r["gibbs"] > WITNESS_GIBBS_TOL:
         raise WitnessNumericalError(f"witness failed validation: residuals {r}")

@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import thermoorder
 from thermoorder import BlockState, Hamiltonian, JointCatalyst, gibbs_state
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _child_processes_import_this_package():
+    """The CLI tests start `python -m thermoorder` processes; put the package
+    under test on their path too, so a bare `python -m pytest` works."""
+    old = os.environ.get("PYTHONPATH")
+    src = os.path.dirname(os.path.dirname(thermoorder.__file__))
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, old)))
+    yield
+    if old is None:
+        del os.environ["PYTHONPATH"]
+    else:
+        os.environ["PYTHONPATH"] = old
 
 
 def random_distribution(rng: random.Random, n: int, zeros: int = 0):

@@ -79,6 +79,19 @@ def test_check_float_overflow_exits_two(tmp_path):
     assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("document", [
+    {"probs": 5},
+    "probs",
+    {"levels": 3, "probs": [0.5, 0.5]},
+], ids=["probs-number", "top-level-string", "levels-number"])
+def test_check_malformed_state_file_exits_two(tmp_path, demo_files, document):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    res = run_cli("check", str(bad), demo_files["rational"])
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_check_rejects_bad_tol(tmp_path, tol):
     # uniform -> (9/10, 1/10) is impossible; a NaN or infinite slack called it possible

@@ -111,6 +111,26 @@ def test_joint_rejects_dimension_mismatch():
         JointCatalyst((0.5, 0.5), (2, 2))
 
 
+@pytest.mark.parametrize("dims", [(2.9, 2), (True, 4), ("2", 2), (2, 2.0)])
+def test_joint_rejects_dims_that_are_not_plain_ints(dims):
+    with pytest.raises(ValueError):
+        JointCatalyst((0.25,) * 4, dims)
+    with pytest.raises(ValueError):
+        joint_from_dict({"probs": [0.25] * 4, "dims": list(dims)})
+
+
+@pytest.mark.parametrize("document", [
+    {"probs": [0.25] * 4, "dims": "22"},
+    {"probs": [0.25] * 4, "dims": 4},
+    {"dims": [2, 2]},
+    {"probs": 0.25, "dims": [1]},
+    [0.25, 0.75],
+])
+def test_joint_file_needs_an_object_of_arrays(document):
+    with pytest.raises(ValueError):
+        joint_from_dict(document)
+
+
 def test_state_rejects_negative_probability():
     with pytest.raises(ValueError):
         BlockState((1.1, -0.1), Hamiltonian.trivial(2))

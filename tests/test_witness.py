@@ -17,6 +17,7 @@ from thermoorder import (
 )
 from thermoorder.entropies import nonnegative_alpha_grid
 from thermoorder.majorization import beta_order
+from thermoorder.witness import EXACT_DIMENSION_LIMIT
 
 from conftest import (
     gibbs_mixture,
@@ -106,7 +107,9 @@ def test_float_witness_at_96_levels(rng):
 
 def test_float_witness_with_gibbs_weights_below_float_resolution(rng):
     # empty levels come last in beta order, and e^-50 is below the float
-    # spacing of the partial sums there, so these intervals have zero float length
+    # spacing of the partial sums there; the cells are cut in exact
+    # arithmetic, so none has zero length, and the pair stays as a
+    # regression guard for Gibbs weights below float resolution
     levels = [rng.uniform(0.0, 2.0) for _ in range(13)]
     levels[3] = levels[8] = 50.0
     probs = list(random_distribution(rng, 11))
@@ -183,9 +186,10 @@ def test_exact_witness_at_exact_limit(rng):
 
 @st.composite
 def exact_pairs(draw):
-    """Rational pairs on a rational Hamiltonian with 2..8 levels; half of the
-    targets are mixtures of the initial state with its Gibbs state, so both
-    verdicts occur."""
+    """Rational pairs on a rational Hamiltonian with 2..8 levels. A third of
+    the targets are mixtures of the initial state with its Gibbs state and a
+    third touch its curve at an interior breakpoint, so both verdicts and
+    exact tangency occur."""
     n = draw(st.integers(2, 8))
     ham = Hamiltonian.from_gibbs_factors(
         tuple(Fraction(w, 17) for w in draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))))
@@ -195,11 +199,24 @@ def exact_pairs(draw):
         return tuple(Fraction(w, sum(weights)) for w in weights)
 
     p = BlockState(distribution(), ham)
-    if draw(st.booleans()):
-        t = Fraction(draw(st.integers(0, 8)), 8)
-        gamma = gibbs_state(ham).probs
+    kind = draw(st.sampled_from(("random", "gibbs-mixture", "touching")))
+    if kind == "random":
+        return p, BlockState(distribution(), ham)
+    t = Fraction(draw(st.integers(0, 8)), 8)
+    gamma = gibbs_state(ham).probs
+    if kind == "gibbs-mixture":
         return p, BlockState(tuple((1 - t) * a + t * g for a, g in zip(p.probs, gamma)), ham)
-    return p, BlockState(distribution(), ham)
+    # mix toward the Gibbs shape separately within p's first k beta-ordered
+    # levels and within the rest: the first block keeps its mass and still
+    # comes first, so the target's curve meets p's at p's k-th breakpoint
+    head = set(beta_order(p).perm[:draw(st.integers(1, n - 1))])
+    blocks = [[i for i in range(n) if (i in head) == side] for side in (True, False)]
+    probs = [None] * n
+    for block in blocks:
+        scale = sum(p.probs[i] for i in block) / sum(gamma[i] for i in block)
+        for i in block:
+            probs[i] = (1 - t) * p.probs[i] + t * scale * gamma[i]
+    return p, BlockState(tuple(probs), ham)
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,6 +230,22 @@ def test_witness_exists_iff_dominance_and_checks_out_exactly(pair):
         assert w.exact
         assert w.apply(p.probs) == q.probs
         assert w.apply(gamma) == gamma
+
+
+@pytest.mark.parametrize("empty_levels", [0, 12])
+def test_float_near_tie_is_decided_exactly(empty_levels):
+    # 1e-14 of mass moved between the two lowest levels puts the initial
+    # curve just below the final one, inside any float comparison slack;
+    # empty levels only extend both curves by one flat piece, so the verdicts
+    # stay and the 16-level pair is built on the float side of the limit
+    levels = (0.0, 0.4, 1.1, 2.0) + tuple(2.5 + k / 4 for k in range(empty_levels))
+    assert (len(levels) > EXACT_DIMENSION_LIMIT) == bool(empty_levels)
+    ham = Hamiltonian(levels)
+    pad = (0.0,) * empty_levels
+    initial = BlockState((0.4 + 1e-14, 0.3 - 1e-14, 0.2, 0.1) + pad, ham)
+    final = BlockState((0.4, 0.3, 0.2, 0.1) + pad, ham)
+    assert find_witness(initial, final) is None
+    _assert_valid_float_witness(final, initial)
 
 
 def test_witness_requires_common_hamiltonian():
