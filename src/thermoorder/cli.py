@@ -120,12 +120,19 @@ def _parse_alphas(text: str):
     return tuple(Alpha.from_label(part) for part in text.split(",") if part.strip())
 
 
+def _finite(text: str) -> float:
+    """--x10 and --epsilon values: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     """--tol value: a finite float >= 0."""
-    value = float(text)
-    if not math.isfinite(value) or value < 0:
+    if _finite(text) < 0:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, not {text}")
-    return value
+    return float(text)
 
 
 def cmd_check(args, mode: NumericMode, report: RunReport, out) -> int:
@@ -458,9 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
              "feeding a 0.01 kT work bit at failure probability 0.007, "
              "certified by two correlated qubit catalysts (0.95/0.70, x10=0.04)",
     )
-    p.add_argument("--x10", type=float, default=None,
+    p.add_argument("--x10", type=_finite, default=None,
                    help="override the joint's free parameter")
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=_finite, default=None,
                    help="override the work-bit failure probability")
     p.add_argument("--outdir", default=None, help="directory for artifact files")
     p.set_defaults(func=cmd_example)

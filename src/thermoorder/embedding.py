@@ -25,9 +25,10 @@ class EmbeddingSpec:
     d: tuple
 
     def __post_init__(self):
-        d = tuple(int(x) for x in self.d)
-        if not d or any(x < 1 for x in d):
-            raise ValueError("block sizes must be positive integers")
+        d = tuple(self.d)
+        # bools, floats and strings are rejected, not truncated
+        if not d or any(type(x) is not int or x < 1 for x in d):
+            raise ValueError(f"block sizes must be positive integers, not {self.d!r}")
         object.__setattr__(self, "d", d)
 
     @property

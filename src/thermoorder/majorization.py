@@ -3,17 +3,20 @@
 A thermal Lorenz curve plots cumulative beta-ordered probability against
 cumulative Gibbs weight; one state can reach another through a
 Gibbs-preserving stochastic map exactly when its curve lies everywhere on
-or above the target's. Curves are concave and piecewise linear, so checking
-the union of breakpoints decides dominance everywhere.
+or above the target's. Every dominance question is decided on the common
+cells of two ordered partitions of one interval: a state's partition is its
+beta order, a curve's the pieces between its points. Curves are concave
+and piecewise linear, so the running sums of the two cell masses, the curve
+gaps at the breakpoints of both curves, decide dominance everywhere.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .entropies import format_number
 from .modes import CMP_TOL, RISE_TOL, SLOPE_TOL, TIE_TOL, all_exact
@@ -39,7 +42,8 @@ class BetaOrdering:
 
 
 def beta_order(s: BlockState) -> BetaOrdering:
-    ratios = [p / g for p, g in zip(s.probs, s.ham.gibbs)]
+    # Fraction(p, g) keeps two ints exact, where p / g would give a float
+    ratios = [Fraction(p, g) if s.exact else p / g for p, g in zip(s.probs, s.ham.gibbs)]
     idx = sorted(range(len(ratios)), key=lambda i: (-ratios[i], -s.probs[i], i))
     if not s.exact:
         # chain-group nearly equal rescaled values, then re-break by (p, index)
@@ -89,24 +93,10 @@ class LorenzCurve:
             prev = slope
         object.__setattr__(self, "points", tuple(merged))
         object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "_xs", tuple(x for x, _ in merged))
 
     @property
     def x_extent(self):
         return self.points[-1][0]
-
-    def value_at(self, x):
-        xs = self._xs
-        if x <= 0:
-            return self.points[0][1]
-        if x >= xs[-1]:
-            return self.points[-1][1]
-        k = bisect_left(xs, x)
-        x1, y1 = self.points[k]
-        if x1 == x:
-            return y1
-        x0, y0 = self.points[k - 1]
-        return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
 
     def write_csv(self, fh) -> None:
         w = csv.writer(fh, lineterminator="\n")
@@ -120,26 +110,18 @@ def thermal_lorenz(s: BlockState) -> LorenzCurve:
 
     Zero-probability levels land at the end as flat segments, keeping the
     full partition-function extent."""
-    order = beta_order(s)
+    perm = beta_order(s).perm
     if s.exact:
-        x, y = Fraction(0), Fraction(0)
-        pts = [(x, y)]
-        for i in order.perm:
-            x = x + s.ham.gibbs[i]
-            y = y + s.probs[i]
-            pts.append((x, y))
-        return LorenzCurve(tuple(pts))
+        xs = accumulate((s.ham.gibbs[i] for i in perm), initial=Fraction(0))
+        ys = accumulate((s.probs[i] for i in perm), initial=Fraction(0))
+        return LorenzCurve(tuple(zip(xs, ys)))
     # float path: running sums depend on the summation order, so pin the
     # endpoint to the order-independent compensated totals; two states on one
     # Hamiltonian then share their extent to the bit
-    x, y = 0.0, 0.0
-    pts = [(x, y)]
-    for i in order.perm[:-1]:
-        x = x + float(s.ham.gibbs[i])
-        y = y + float(s.probs[i])
-        pts.append((x, min(y, 1.0)))
-    pts.append((float(s.ham.partition_function), 1.0))
-    return LorenzCurve(tuple(pts))
+    xs = accumulate((float(s.ham.gibbs[i]) for i in perm[:-1]), initial=0.0)
+    ys = accumulate((float(s.probs[i]) for i in perm[:-1]), initial=0.0)
+    pts = tuple((x, min(y, 1.0)) for x, y in zip(xs, ys))
+    return LorenzCurve(pts + ((float(s.ham.partition_function), 1.0),))
 
 
 def lorenz(p) -> LorenzCurve:
@@ -151,9 +133,9 @@ def lorenz(p) -> LorenzCurve:
 class CurveComparison:
     """Outcome of a dominance check between two curves.
 
-    ``violations`` lists union breakpoints where the candidate-above curve
-    dips below the other one (x, positive gap). ``min_gap``/``max_gap`` are
-    the extreme signed differences over interior breakpoints; ``marginal``
+    ``violations`` lists breakpoints of either curve where the candidate-above
+    curve dips below the other one (x, positive gap). ``min_gap``/``max_gap``
+    are the extreme signed differences over interior breakpoints; ``marginal``
     flags an Above verdict that touches tangency within tolerance.
     """
 
@@ -177,6 +159,65 @@ class CurveComparison:
         }
 
 
+def refine(a, b) -> list:
+    """Common cells, left to right, of two ordered partitions of one interval.
+
+    A partition is a non-empty list of segments (length, density, label), a
+    cell is (length, a's label, b's label, a's mass, b's mass). The last
+    segment of each runs to the common end, which float partitions can sum
+    to differently in the last bits; the last cell takes what remains of a's.
+    """
+    last_a, last_b = len(a) - 1, len(b) - 1
+    i = j = 0
+    (a_left, da, la), (b_left, db, lb) = a[0], b[0]  # what remains of the current segments
+    cells = []
+    while i < last_a or j < last_b:
+        # cut at the nearer segment end; a last segment has none before the end
+        length = a_left if j == last_b or i < last_a and a_left < b_left else b_left
+        cells.append((length, la, lb, length * da, length * db))
+        a_left -= length
+        b_left -= length
+        if not a_left and i < last_a:
+            i += 1
+            a_left, da, la = a[i]
+        if not b_left and j < last_b:
+            j += 1
+            b_left, db, lb = b[j]
+    cells.append((a_left, la, lb, a_left * da, a_left * db))
+    return cells
+
+
+def compare_cells(cells, tol) -> CurveComparison:
+    """Dominance of a over b from the gaps at the interior cell boundaries,
+    the running sums of a's minus b's cell mass, under slack tol (0 if exact)."""
+    gaps = list(accumulate(mass_a - mass_b for *_, mass_a, mass_b in cells[:-1]))
+    if not gaps:
+        return CurveComparison(EQUAL, (), False, 0.0, 0.0)
+    dips = ()
+    if any(d < -tol for d in gaps):
+        xs = accumulate(length for length, *_ in cells)
+        dips = tuple((x, -d) for x, d in zip(xs, gaps) if d < -tol)
+    has_pos = any(d > tol for d in gaps)
+    verdict = CROSSING if dips and has_pos else BELOW if dips else ABOVE if has_pos else EQUAL
+    min_gap, max_gap = float(min(gaps)), float(max(gaps))
+    marginal = verdict == ABOVE and min_gap <= float(tol)
+    return CurveComparison(verdict, dips, marginal, min_gap, max_gap)
+
+
+def thermal_cells(a: BlockState, b: BlockState) -> list:
+    """Common cells of the beta-ordered partitions of [0, Z] of a and b by level."""
+    segments = []
+    for s in (a, b):
+        order = beta_order(s)
+        segments.append([(s.ham.gibbs[i], r, i) for i, r in zip(order.perm, order.rescaled)])
+    return refine(*segments)
+
+
+def _curve_segments(curve: LorenzCurve) -> list:
+    pts = curve.points
+    return [(x1 - x0, (y1 - y0) / (x1 - x0), None) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+
+
 def compare(candidate_above: LorenzCurve, candidate_below: LorenzCurve,
             cmp_tol: float = CMP_TOL) -> CurveComparison:
     """Decide whether the first curve dominates the second.
@@ -193,38 +234,18 @@ def compare(candidate_above: LorenzCurve, candidate_below: LorenzCurve,
             f"curves span different x-extents ({float(xa)!r} vs {float(xb)!r}): "
             "incompatible Hamiltonians"
         )
-    xs = sorted(set(list(candidate_above._xs) + list(candidate_below._xs)))
-    dips = []
-    has_pos = False
-    min_gap, max_gap = math.inf, -math.inf
-    for x in xs[1:-1]:
-        d = candidate_above.value_at(x) - candidate_below.value_at(x)
-        fd = float(d)
-        min_gap = min(min_gap, fd)
-        max_gap = max(max_gap, fd)
-        if d < -tol:
-            dips.append((x, -d))
-        elif d > tol:
-            has_pos = True
-    if not xs[1:-1]:
-        min_gap = max_gap = 0.0
-    if dips and has_pos:
-        verdict = CROSSING
-    elif dips:
-        verdict = BELOW
-    elif has_pos:
-        verdict = ABOVE
-    else:
-        verdict = EQUAL
-    marginal = verdict == ABOVE and min_gap <= float(tol)
-    return CurveComparison(verdict, tuple(dips), marginal, min_gap, max_gap)
+    if not (xa and xb):
+        return CurveComparison(EQUAL, (), False, 0.0, 0.0)
+    return compare_cells(refine(_curve_segments(candidate_above),
+                                _curve_segments(candidate_below)), tol)
 
 
 def thermomajorizes(a: BlockState, b: BlockState, cmp_tol: float = CMP_TOL) -> CurveComparison:
-    """Thermal-curve dominance of a over b; identical Hamiltonians required."""
+    """Thermal-curve dominance of a over b, read off their common cells
+    without building a curve; identical Hamiltonians required."""
     if a.ham != b.ham:
         raise ValueError("thermomajorization compares states on one Hamiltonian")
-    return compare(thermal_lorenz(a), thermal_lorenz(b), cmp_tol)
+    return compare_cells(thermal_cells(a, b), 0 if a.exact and b.exact else cmp_tol)
 
 
 def majorizes(p, q) -> CurveComparison:

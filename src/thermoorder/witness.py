@@ -1,15 +1,12 @@
-"""Explicit Gibbs-preserving stochastic witnesses, built from the thermal curves.
+"""Explicit Gibbs-preserving stochastic witnesses, built on the curve cells.
 
 A transition between block-diagonal states is possible through a thermal
 process exactly when some column-stochastic matrix fixes the Gibbs state and
 maps the initial distribution to the target, that is, when the initial
-thermal curve dominates the target's. Both questions are answered on one
-object: the common cells of the two beta-ordered partitions of [0, Z], cut
-once, exactly, from lossless rational copies of the inputs (every float is
-a dyadic rational). The running sums of initial minus target cell mass are
-the curve gaps at the union of the breakpoints, so the transition is
-feasible when none is negative, and no tolerance enters the verdict. The
-matrix is then built on the same cells by the d-majorization construction
+thermal curve dominates the target's. Both questions are answered on the
+cells ``thermomajorizes`` reads (``majorization.thermal_cells``), cut here
+from lossless rational copies of the inputs and read with no tolerance. The
+matrix is built on the same cells by the d-majorization construction
 (Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013); Shiraishi, "Two
 constructive proofs on d-majorization and thermo-majorization"): weighted
 T-transforms between cells and a sum back into levels. Up to 12 levels it
@@ -22,9 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 
-from .majorization import beta_order
+from .majorization import compare_cells, thermal_cells
 from .modes import (
     GIBBS_DRIFT_TOL,
     WITNESS_ENTRY_TOL,
@@ -128,34 +124,6 @@ def identity_witness(n: int) -> StochasticWitness:
     ))
 
 
-def _cells(p: BlockState, q: BlockState):
-    """Common cells of the beta-ordered partitions of [0, Z] of exact p and q.
-
-    Each cell is (length, p's level, q's level, p's mass, q's mass); the
-    cells run left to right, so the running sums of p's minus q's mass are
-    the gaps between the two thermal curves at the union of their
-    breakpoints. On exact states beta_order groups no near-ties, so the
-    density p_i/g_i never rises along it."""
-    g, n = p.ham.gibbs, len(p)
-    p_perm, q_perm = beta_order(p).perm, beta_order(q).perm
-    p_left, q_left = g[p_perm[0]], g[q_perm[0]]  # what remains of the current intervals
-    a = b = 0
-    cells = []
-    while a < n:  # both partitions end at Z, so q's ends with p's
-        i, j = p_perm[a], q_perm[b]
-        length = min(p_left, q_left)
-        cells.append((length, i, j, length * p.probs[i] / g[i], length * q.probs[j] / g[j]))
-        p_left -= length
-        q_left -= length
-        if not p_left:
-            a += 1
-            p_left = g[p_perm[a]] if a < n else 0
-        if not q_left:
-            b += 1
-            q_left = g[q_perm[b]] if b < n else 0
-    return cells
-
-
 def _construct(cells, gibbs, n: int):
     """Rows of a column-stochastic M with M g = g and M p = q, from the cells.
 
@@ -232,8 +200,8 @@ def find_witness(p: BlockState, q: BlockState):
         rows = tuple(tuple(gamma[i] for _ in range(n)) for i in range(n))
         return StochasticWitness(rows)
     ep, eq = p.to_exact(), q.to_exact()
-    cells = _cells(ep, eq)
-    if min(accumulate(p_mass - q_mass for *_, p_mass, q_mass in cells)) < 0:
+    cells = thermal_cells(ep, eq)
+    if not compare_cells(cells, 0).dominates:
         return None
     if n <= EXACT_DIMENSION_LIMIT:
         witness = StochasticWitness(_construct(cells, ep.ham.gibbs, n))

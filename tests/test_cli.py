@@ -268,6 +268,20 @@ def test_example_infeasible_x10_fails_construction():
     assert "FAIL catalyst-construction" in res.stdout
 
 
+@pytest.mark.parametrize("flag", ["--x10=nan", "--x10=inf", "--epsilon=nan", "--epsilon=-inf"])
+def test_example_rejects_non_finite_parameters(flag):
+    res = run_cli("example", flag)
+    assert res.returncode == 2
+    assert f"error: argument {flag.split('=')[0]}: must be finite" in res.stderr
+    assert "FAIL" not in res.stdout
+
+
+def test_example_x10_outside_the_feasible_interval_fails_construction():
+    res = run_cli("example", "--x10=-0.5")
+    assert res.returncode == 1
+    assert "FAIL catalyst-construction" in res.stdout
+
+
 def test_example_byte_identical_across_runs(tmp_path):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     res1 = run_cli("example", "--outdir", str(out1))

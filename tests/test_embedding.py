@@ -75,6 +75,15 @@ def test_rational_gibbs_rejects_small_cap():
         rational_gibbs(Hamiltonian.trivial(3), 2)
 
 
+@pytest.mark.parametrize("d", [(2.9, 1), (True, 2), ("3", 2), (2, 1.0)])
+def test_spec_rejects_block_sizes_that_are_not_plain_ints(d):
+    # each was truncated or coerced to an int block size: (2, 1), (1, 2), (3, 2), (2, 1)
+    with pytest.raises(ValueError):
+        EmbeddingSpec(d)
+    with pytest.raises(ValueError):
+        EmbeddingSpec.from_json_obj({"d": list(d)})
+
+
 def test_embed_examples():
     spec = EmbeddingSpec((2, 1))
     assert embed((1, 0), spec) == (Fraction(1, 2), Fraction(1, 2), 0)

@@ -14,6 +14,7 @@ from thermoorder import (
     EQUAL,
     BlockState,
     Hamiltonian,
+    LorenzCurve,
     beta_order,
     compare,
     free_energy_gap,
@@ -25,6 +26,7 @@ from thermoorder import (
     thermomajorizes,
 )
 from thermoorder.entropies import nonnegative_alpha_grid
+from thermoorder.modes import CMP_TOL
 
 from conftest import gibbs_mixture, random_distribution, random_hamiltonian, random_state
 
@@ -49,6 +51,12 @@ def test_beta_order_gibbs_breaks_ties_by_probability_then_index():
     order = beta_order(gibbs_state(ham))
     assert order.perm == (0, 1, 2)
     assert order.rescaled[0] == pytest.approx(order.rescaled[1], abs=1e-12)
+
+
+def test_beta_order_keeps_integer_weights_exact():
+    order = beta_order(BlockState((0, 1), Hamiltonian.from_gibbs_factors((1, 3))))
+    assert order.rescaled == (Fraction(1, 3), 0)
+    assert all(type(r) is Fraction for r in order.rescaled)
 
 
 # -- curves ------------------------------------------------------------------
@@ -87,8 +95,6 @@ def test_plain_lorenz_breakpoints_count_levels():
 
 
 def test_curve_rejects_non_concave():
-    from thermoorder.majorization import LorenzCurve
-
     with pytest.raises(ValueError):
         LorenzCurve(((0, 0), (1, Fraction(1, 4)), (2, 1)))
 
@@ -263,3 +269,88 @@ def test_comparison_json_shape():
     assert isinstance(obj["marginal"], bool)
     assert obj["violations"] and set(obj["violations"][0]) == {"x", "gap"}
     assert obj["violations"][0]["gap"] > 0
+
+
+# -- the cells against the interpolating reference -----------------------------
+
+def _value_at(curve, x):
+    for (x0, y0), (x1, y1) in zip(curve.points, curve.points[1:]):
+        if x == x1:
+            return y1
+        if x < x1:
+            return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+    return curve.points[-1][1]
+
+
+def union_gaps(above, below):
+    """(x, gap) at every interior point of the sorted union of both curves'
+    breakpoints, each curve interpolated there."""
+    xs = sorted({x for curve in (above, below) for x, _ in curve.points})[1:-1]
+    return [(x, _value_at(above, x) - _value_at(below, x)) for x in xs]
+
+
+def union_reference(above, below, tol):
+    """(verdict, violations, marginal, min_gap, max_gap) of the union-of-breakpoints
+    comparison, the direct algorithm the cells replace."""
+    gaps = union_gaps(above, below)
+    dips = tuple((x, -d) for x, d in gaps if d < -tol)
+    rises = any(d > tol for _, d in gaps)
+    verdict = CROSSING if dips and rises else BELOW if dips else ABOVE if rises else EQUAL
+    floats = [float(d) for _, d in gaps] or [0.0]
+    return verdict, dips, verdict == ABOVE and min(floats) <= tol, min(floats), max(floats)
+
+
+def _clear_of_tolerance(gaps):
+    """Exact gaps that a float comparison cannot misread: each is 0 or far
+    outside the comparison slack."""
+    return all(d == 0 or abs(d) > 100 * CMP_TOL for _, d in gaps)
+
+
+def _beta_order_sum(s):
+    total = 0.0
+    for i in beta_order(s).perm:
+        total += float(s.ham.gibbs[i])
+    return total
+
+
+def test_walk_ends_when_float_partitions_sum_differently():
+    # 96 levels: the two beta orders add the same Gibbs weights in different
+    # orders, so the two partitions end apart in the last bits
+    rng = random.Random(96)
+    ended_apart = checked = 0
+    for k in range(40):
+        a = random_state(rng, 96)
+        b = gibbs_mixture(a, 0.3) if k % 2 else random_state(rng, 96, a.ham)
+        if k % 4 == 1:  # swap two levels' probabilities: a new order, still a float pair
+            probs = list(b.probs)
+            i, j = beta_order(b).perm[:2]
+            probs[i], probs[j] = probs[j], probs[i]
+            b = BlockState(tuple(probs), a.ham)
+        ended_apart += _beta_order_sum(a) != _beta_order_sum(b)
+        clear = _clear_of_tolerance(union_gaps(thermal_lorenz(a.to_exact()), thermal_lorenz(b.to_exact())))
+        for x, y in ((a, b), (b, a)):
+            verdict = thermomajorizes(x, y).verdict  # every call returns, checked or not
+            if clear:
+                assert verdict == thermomajorizes(x.to_exact(), y.to_exact()).verdict
+        checked += clear
+    assert ended_apart >= 10 and checked >= 30
+
+
+@pytest.mark.parametrize("stretch", [1 + 5e-11, 1 - 5e-11])
+def test_compare_ends_when_extents_differ_within_tolerance(stretch):
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(30):
+        a = random_state(rng, rng.randint(2, 12))
+        b = random_state(rng, len(a), a.ham) if rng.random() < 0.5 else gibbs_mixture(a, 0.4)
+        curve = thermal_lorenz(b)
+        end = (curve.x_extent * stretch, 1.0)
+        stretched = LorenzCurve(curve.points[:-1] + (end,))
+        assert stretched.x_extent != thermal_lorenz(a).x_extent
+        clear = _clear_of_tolerance(union_gaps(thermal_lorenz(a.to_exact()), thermal_lorenz(b.to_exact())))
+        for above, below, x, y in ((thermal_lorenz(a), stretched, a, b), (stretched, thermal_lorenz(a), b, a)):
+            verdict = compare(above, below).verdict  # every call returns, checked or not
+            if clear:
+                assert verdict == thermomajorizes(x.to_exact(), y.to_exact()).verdict
+        checked += clear
+    assert checked >= 20

@@ -40,18 +40,34 @@ def test_every_tolerance_in_the_table_is_used():
     assert not table - used, sorted(table - used)
 
 
-def test_library_code_calls_the_evaluator_not_the_raw_sequence_functions():
-    """renyi_entropy and renyi_divergence validate raw sequences for callers
-    outside the package; inside it, validated data goes to the evaluator."""
+def _calls(names, skip=()):
+    """'file:line: name' of every call in the package to one of names,
+    outside the files named in skip."""
     package = pathlib.Path(thermoorder.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
+        if path.name in skip:
+            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("renyi_entropy", "renyi_divergence"):
+                if name in names:
                     found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_library_code_calls_the_evaluator_not_the_raw_sequence_functions():
+    """renyi_entropy and renyi_divergence validate raw sequences for callers
+    outside the package; inside it, validated data goes to the evaluator."""
+    found = _calls(("renyi_entropy", "renyi_divergence"))
+    assert not found, found
+
+
+def test_only_majorization_orders_levels():
+    """The beta order and the cell refinement built on it stay in one module;
+    the others ask it for curves, comparisons or cells."""
+    found = _calls(("beta_order",), skip=("majorization.py",))
     assert not found, found
 
 

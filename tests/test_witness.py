@@ -8,15 +8,18 @@ from thermoorder import (
     BlockState,
     Hamiltonian,
     StochasticWitness,
+    compare,
     find_witness,
     gibbs_state,
     identity_witness,
     random_gibbs_stochastic,
     renyi_divergence,
+    thermal_lorenz,
     thermomajorizes,
 )
 from thermoorder.entropies import nonnegative_alpha_grid
 from thermoorder.majorization import beta_order
+from thermoorder.modes import CMP_TOL
 from thermoorder.witness import EXACT_DIMENSION_LIMIT
 
 from conftest import (
@@ -27,6 +30,7 @@ from conftest import (
     random_rational_gibbs_ham,
     random_state,
 )
+from test_majorization import union_reference
 
 
 def test_identity_fast_path(rng):
@@ -230,6 +234,24 @@ def test_witness_exists_iff_dominance_and_checks_out_exactly(pair):
         assert w.exact
         assert w.apply(p.probs) == q.probs
         assert w.apply(gamma) == gamma
+
+
+def _fields(c):
+    return c.verdict, c.violations, c.marginal, c.min_gap, c.max_gap
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_pairs())
+def test_cells_decide_like_the_union_of_breakpoints(pair):
+    p, q = pair
+    want = union_reference(thermal_lorenz(p), thermal_lorenz(q), 0)
+    assert _fields(thermomajorizes(p, q)) == want
+    assert _fields(compare(thermal_lorenz(p), thermal_lorenz(q))) == want
+    fp, fq = p.to_float(), q.to_float()
+    want = union_reference(thermal_lorenz(fp), thermal_lorenz(fq), CMP_TOL)
+    for got in (thermomajorizes(fp, fq), compare(thermal_lorenz(fp), thermal_lorenz(fq))):
+        assert got.verdict == want[0]
+        assert abs(got.min_gap - want[3]) <= 1e-14 and abs(got.max_gap - want[4]) <= 1e-14
 
 
 @pytest.mark.parametrize("empty_levels", [0, 12])
