@@ -61,7 +61,6 @@ from .majorization import (
     thermal_lorenz,
     thermomajorizes,
 )
-from .modes import NumericMode
 from .states import (
     BlockState,
     Hamiltonian,

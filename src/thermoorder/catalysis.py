@@ -150,6 +150,11 @@ class SearchConfig:
     budget_cells: int = 200_000
 
     def __post_init__(self):
+        # bools and floats are rejected, not truncated
+        for name in ("marginal_grid", "polytope_grid", "budget_cells"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.marginal_grid < 1:
             raise ValueError(f"marginal_grid must be at least 1, not {self.marginal_grid}")
         if self.polytope_grid < 2:
@@ -159,7 +164,7 @@ class SearchConfig:
         if not self.dims:
             raise ValueError("dims must name at least one catalyst shape")
         for dims in self.dims:
-            if tuple(dims) not in ((2, 2), (2, 2, 2)):
+            if any(type(d) is not int for d in dims) or tuple(dims) not in ((2, 2), (2, 2, 2)):
                 raise ValueError(f"unsupported catalyst dimensions {dims!r}")
 
     def to_json_obj(self) -> dict:
@@ -172,8 +177,8 @@ class SearchConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SearchConfig":
-        """Config from parsed JSON; unknown keys and non-integer values are
-        rejected rather than ignored or truncated."""
+        """Config from parsed JSON; unknown keys are rejected rather than
+        ignored, and the values are checked by the constructor."""
         if not isinstance(obj, dict):
             raise ValueError(f"search config must be a JSON object, not {type(obj).__name__}")
         kwargs = {}
@@ -183,12 +188,7 @@ class SearchConfig:
             if key == "dims":
                 if not isinstance(value, list) or not all(isinstance(d, list) for d in value):
                     raise ValueError(f"dims must be a list of lists, not {value!r}")
-                numbers = [x for d in value for x in d]
                 value = tuple(tuple(d) for d in value)
-            else:
-                numbers = [value]
-            if any(type(x) is not int for x in numbers):
-                raise ValueError(f"{key} must hold integers, not {obj[key]!r}")
             kwargs[key] = value
         return cls(**kwargs)
 

@@ -8,7 +8,9 @@ Each command fills in a RunReport and returns its exit code; ``main``
 prints the report and writes it to --report.
 
 The numeric mode defaults to THERMO_ORDER_MODE ({float|rational}) and can
-be overridden per invocation with --numeric-mode.
+be overridden per invocation with --numeric-mode. ``main`` resolves it once
+into ``args.exact`` (load files as rationals) and ``args.cmp_tol`` (0 in
+rational mode).
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .modes import (
     CMP_TOL,
     FREE_ENERGY_FLOOR,
     NORM_TOL,
-    NumericMode,
     to_fraction,
 )
 from .states import (
@@ -67,6 +68,7 @@ from .witness import WitnessNumericalError, find_witness
 EXIT_OK = 0
 EXIT_IMPOSSIBLE = 1
 EXIT_ERROR = 2
+NUMERIC_MODES = ("float", "rational")
 
 
 @dataclass
@@ -104,16 +106,9 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _numeric_mode(args) -> NumericMode:
-    kind = args.numeric_mode or os.environ.get("THERMO_ORDER_MODE", "float")
-    if kind == "rational":
-        return NumericMode.rational()
-    return NumericMode(kind, CMP_TOL if args.tol is None else args.tol)
-
-
-def _load(path: str, mode: NumericMode) -> BlockState:
+def _load(path: str, exact: bool) -> BlockState:
     state = load_state(path)
-    return state.to_exact() if mode.is_exact else state.to_float()
+    return state.to_exact() if exact else state.to_float()
 
 
 def _parse_alphas(text: str):
@@ -135,13 +130,13 @@ def _tolerance(text: str) -> float:
     return float(text)
 
 
-def cmd_check(args, mode: NumericMode, report: RunReport, out) -> int:
-    a = _load(args.initial, mode)
-    b = _load(args.final, mode)
+def cmd_check(args, report: RunReport, out) -> int:
+    a = _load(args.initial, args.exact)
+    b = _load(args.final, args.exact)
     alphas = _parse_alphas(args.alphas) if args.alphas else None
-    tol = max(mode.cmp_tol, FREE_ENERGY_FLOOR)
+    tol = max(args.cmp_tol, FREE_ENERGY_FLOOR)
     if args.mode == "plain":
-        cmp_result = thermomajorizes(a, b, mode.cmp_tol)
+        cmp_result = thermomajorizes(a, b, args.cmp_tol)
         possible = cmp_result.dominates
         report.verdicts["curve"] = cmp_result.verdict
         report.verdicts["marginal"] = cmp_result.marginal
@@ -170,9 +165,9 @@ def cmd_check(args, mode: NumericMode, report: RunReport, out) -> int:
     return EXIT_OK if possible else EXIT_IMPOSSIBLE
 
 
-def cmd_sweep(args, mode: NumericMode, report: RunReport, out) -> int:
-    a = _load(args.initial, mode)
-    b = _load(args.final, mode)
+def cmd_sweep(args, report: RunReport, out) -> int:
+    a = _load(args.initial, args.exact)
+    b = _load(args.final, args.exact)
     alphas = _parse_alphas(args.alphas) if args.alphas else default_alpha_grid()
     profile = delta_f_sweep(a, b, alphas)
     if args.out:
@@ -190,8 +185,8 @@ def cmd_sweep(args, mode: NumericMode, report: RunReport, out) -> int:
     return EXIT_OK
 
 
-def cmd_lorenz(args, mode: NumericMode, report: RunReport, out) -> int:
-    s = _load(args.state, mode)
+def cmd_lorenz(args, report: RunReport, out) -> int:
+    s = _load(args.state, args.exact)
     curve = thermal_lorenz(s)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -204,9 +199,9 @@ def cmd_lorenz(args, mode: NumericMode, report: RunReport, out) -> int:
     return EXIT_OK
 
 
-def cmd_search(args, mode: NumericMode, report: RunReport, out) -> int:
-    a = _load(args.initial, mode)
-    b = _load(args.final, mode)
+def cmd_search(args, report: RunReport, out) -> int:
+    a = _load(args.initial, args.exact)
+    b = _load(args.final, args.exact)
     config = SearchConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -240,9 +235,9 @@ def cmd_search(args, mode: NumericMode, report: RunReport, out) -> int:
     return EXIT_OK
 
 
-def cmd_witness(args, mode: NumericMode, report: RunReport, out) -> int:
-    a = _load(args.initial, mode)
-    b = _load(args.final, mode)
+def cmd_witness(args, report: RunReport, out) -> int:
+    a = _load(args.initial, args.exact)
+    b = _load(args.final, args.exact)
     witness = find_witness(a, b)
     if witness is None:
         # the exact comparison find_witness decided on; floats can tie where it does not
@@ -265,8 +260,8 @@ def cmd_witness(args, mode: NumericMode, report: RunReport, out) -> int:
     return EXIT_OK
 
 
-def cmd_work(args, mode: NumericMode, report: RunReport, out) -> int:
-    s = _load(args.state, mode)
+def cmd_work(args, report: RunReport, out) -> int:
+    s = _load(args.state, args.exact)
     wq = work_quantities(s)
     report.numbers["w_ext_deterministic_f0"] = wq.f0
     report.numbers["w_correlated_f1"] = wq.f1
@@ -274,7 +269,7 @@ def cmd_work(args, mode: NumericMode, report: RunReport, out) -> int:
     return EXIT_OK
 
 
-def cmd_example(args, mode: NumericMode, report: RunReport, out) -> int:
+def cmd_example(args, report: RunReport, out) -> int:
     """Full demo pipeline; PASS/FAIL per step, exit 0 only if all reproduce."""
     x10 = args.x10 if args.x10 is not None else float(demo.CATALYST_X10)
     eps = args.epsilon if args.epsilon is not None else demo.FAIL_PROB
@@ -296,7 +291,7 @@ def cmd_example(args, mode: NumericMode, report: RunReport, out) -> int:
             failures.append(name)
 
     initial, final = demo.work_extraction_pair(fail_prob=eps)
-    if mode.is_exact:
+    if args.exact:
         initial, final = initial.to_exact(), final.to_exact()
 
     # 1. sweep sign pattern and closed-form agreement
@@ -397,7 +392,7 @@ def cmd_example(args, mode: NumericMode, report: RunReport, out) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--numeric-mode", choices=["float", "rational"],
+    common.add_argument("--numeric-mode", choices=NUMERIC_MODES,
                         default=argparse.SUPPRESS,
                         help="numeric regime; defaults to $THERMO_ORDER_MODE or float")
     common.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS,
@@ -479,15 +474,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
-        mode = _numeric_mode(args)
+        kind = args.numeric_mode or os.environ.get("THERMO_ORDER_MODE", "float")
+        if kind not in NUMERIC_MODES:
+            raise ValueError(f"unknown numeric mode {kind!r}")
+        args.exact = kind == "rational"
+        args.cmp_tol = 0.0 if args.exact else CMP_TOL if args.tol is None else args.tol
         report = RunReport(
             command=args.command,
-            mode=mode.kind,
-            tolerances={"cmp_tol": mode.cmp_tol, "norm_tol": 0.0 if mode.is_exact else NORM_TOL},
+            mode=kind,
+            tolerances={"cmp_tol": args.cmp_tol, "norm_tol": 0.0 if args.exact else NORM_TOL},
             inputs={name: _digest(getattr(args, name))
                     for name in ("initial", "final", "state") if hasattr(args, name)},
         )
-        code = args.func(args, mode, report, out)
+        code = args.func(args, report, out)
         report.print_text(out)
         if args.report:
             save_json(report.to_json_obj(), args.report)

@@ -4,7 +4,9 @@ Every quantity in the library is either a float or an exact
 ``fractions.Fraction`` (or int). Exactness is decided once, when a value
 object (``Hamiltonian``, ``BlockState``, ``JointCatalyst``, ``LorenzCurve``,
 ``StochasticWitness``) is constructed, and stored in its ``exact`` field;
-nothing re-scans the data afterwards. Exact data is compared without any
+nothing re-scans the data afterwards. Each computation takes the arithmetic
+of its inputs; the CLI's --numeric-mode only decides whether the files it
+loads become rationals or floats. Exact data is compared without any
 slack. Float data gets the slack in the table below, the only place these
 values live. Two of them are also parameters, because callers use more
 than one value: ``cmp_tol`` of ``compare``/``thermomajorizes`` (the CLI's
@@ -15,7 +17,6 @@ than one value: ``cmp_tol`` of ``compare``/``thermomajorizes`` (the CLI's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 # Tolerance table (float data only; exact data is compared exactly).
@@ -36,33 +37,6 @@ WITNESS_GIBBS_TOL = 1e-9      # float witness residual |M g - g|
 GIBBS_DRIFT_TOL = 1e-12       # |M g - g| of a random Gibbs-preserving map
 CLOSED_FORM_TOL = 1e-10       # demo: sweep against the closed-form work-bit gaps
 BUDGET_TOL = 1e-12            # demo: total correlation against its free-energy budget
-
-FLOAT64 = "float"
-EXACT_RATIONAL = "rational"
-
-
-@dataclass(frozen=True)
-class NumericMode:
-    """Numeric regime plus the curve-comparison slack used for verdicts."""
-
-    kind: str
-    cmp_tol: float = CMP_TOL
-
-    def __post_init__(self):
-        if self.kind not in (FLOAT64, EXACT_RATIONAL):
-            raise ValueError(f"unknown numeric mode {self.kind!r}")
-
-    @classmethod
-    def float64(cls, cmp_tol: float = CMP_TOL) -> "NumericMode":
-        return cls(FLOAT64, cmp_tol)
-
-    @classmethod
-    def rational(cls) -> "NumericMode":
-        return cls(EXACT_RATIONAL, 0.0)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == EXACT_RATIONAL
 
 
 def is_exact_number(x) -> bool:

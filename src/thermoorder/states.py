@@ -159,12 +159,15 @@ class BlockState:
         return sum(1 for p in self.probs if p > 0)
 
     def to_exact(self) -> "BlockState":
-        """Exact-rational copy.
+        """Exact-rational version: the state itself if already exact (it is
+        immutable, so a copy would equal it), else a rational copy.
 
         Floats convert losslessly as dyadic rationals; since their exact sum
         then differs from 1 by rounding, the probabilities are renormalized
         exactly (a relative adjustment within the construction tolerance).
         """
+        if self.exact:
+            return self
         ham = Hamiltonian(self.ham.levels, tuple(to_fraction(g) for g in self.ham.gibbs))
         probs = [to_fraction(p) for p in self.probs]
         total = sum(probs, Fraction(0))

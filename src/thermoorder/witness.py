@@ -5,13 +5,15 @@ process exactly when some column-stochastic matrix fixes the Gibbs state and
 maps the initial distribution to the target, that is, when the initial
 thermal curve dominates the target's. Both questions are answered on the
 cells ``thermomajorizes`` reads (``majorization.thermal_cells``), cut here
-from lossless rational copies of the inputs and read with no tolerance. The
-matrix is built on the same cells by the d-majorization construction
-(Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013); Shiraishi, "Two
-constructive proofs on d-majorization and thermo-majorization"): weighted
-T-transforms between cells and a sum back into levels. Up to 12 levels it
-runs in Fractions and is checked by exact equality; above, it runs on the
-cells rendered once to floats and must pass residual bounds.
+from the exact inputs or lossless rational copies of float ones, and read
+with no tolerance. The matrix is built on the same cells by the
+d-majorization construction (Horodecki & Oppenheim, Nat. Commun. 4, 2059
+(2013); Shiraishi, "Two constructive proofs on d-majorization and
+thermo-majorization"): weighted T-transforms between cells and a sum back
+into levels. For exact inputs of up to 12 levels it runs in Fractions and
+is checked by exact equality; for float inputs, and exact inputs above 12
+levels, it runs on the cells rendered once to floats and must pass
+residual bounds.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .modes import (
 )
 from .states import BlockState, Hamiltonian, gibbs_state
 
-# Up to this many levels the witness is built in Fractions; above, exact
-# rational bit sizes grow too costly and it is built in floats.
+# Up to this many levels a witness for exact inputs is built in Fractions;
+# above, exact rational bit sizes grow too costly and it is built in floats,
+# as it is for float inputs at every size.
 EXACT_DIMENSION_LIMIT = 12
 
 
@@ -127,8 +130,8 @@ def identity_witness(n: int) -> StochasticWitness:
 def _construct(cells, gibbs, n: int):
     """Rows of a column-stochastic M with M g = g and M p = q, from the cells.
 
-    The cells and the Gibbs weights share one arithmetic (all Fractions or
-    all floats), and every running sum of p's minus q's cell mass is >= 0.
+    The cells are exact and the Gibbs weights Fractions, or both are
+    floats, and every running sum of p's minus q's cell mass is >= 0.
     Row c of ``rows`` is the map from p's levels to the mass in cell c; it
     starts as the proportional split of each level's interval. Weighted
     T-transforms then move mass from the last cell with a surplus over q to
@@ -182,13 +185,14 @@ def _construct(cells, gibbs, n: int):
 def find_witness(p: BlockState, q: BlockState):
     """Gibbs-preserving stochastic matrix with M p = q, or None if none exists.
 
-    Feasibility is read off the exact cells of lossless rational copies (p's
-    curve dominates q's), so no tolerance decides it. Up to
-    EXACT_DIMENSION_LIMIT levels the matrix is built on those cells in
-    Fractions and checked by exact equality (float inputs then get its float
-    rendering); above, it is built on the cells rendered once to floats and
-    must pass the residual bounds. Any returned witness has been re-validated
-    by direct multiplication.
+    Feasibility is read off the exact cells of the inputs, float inputs
+    converted losslessly to rationals (p's curve dominates q's), so no
+    tolerance decides it. The inputs' arithmetic picks the construction:
+    exact inputs of up to EXACT_DIMENSION_LIMIT levels get a matrix built on
+    those cells in Fractions and checked by exact equality; float inputs of
+    any size, and exact inputs above the limit, get one built on the cells
+    rendered once to floats, which must pass the residual bounds. Any
+    returned witness has been re-validated by direct multiplication.
     """
     if p.ham != q.ham:
         raise ValueError("witness search needs both states on the same Hamiltonian")
@@ -199,24 +203,19 @@ def find_witness(p: BlockState, q: BlockState):
     if q.probs == gamma:
         rows = tuple(tuple(gamma[i] for _ in range(n)) for i in range(n))
         return StochasticWitness(rows)
-    ep, eq = p.to_exact(), q.to_exact()
-    cells = thermal_cells(ep, eq)
+    cells = thermal_cells(p.to_exact(), q.to_exact())
     if not compare_cells(cells, 0).dominates:
         return None
-    if n <= EXACT_DIMENSION_LIMIT:
-        witness = StochasticWitness(_construct(cells, ep.ham.gibbs, n))
-        exact_gamma = gibbs_state(ep.ham).probs
+    if p.exact and q.exact and n <= EXACT_DIMENSION_LIMIT:
+        # Fraction weights, so that int lengths over int weights stay exact
+        witness = StochasticWitness(_construct(cells, [Fraction(g) for g in p.ham.gibbs], n))
         # exact arithmetic, so equality is strict
-        if witness.apply(ep.probs) != eq.probs or witness.apply(exact_gamma) != exact_gamma:
+        if witness.apply(p.probs) != q.probs or witness.apply(gamma) != gamma:
             raise WitnessNumericalError("exact construction produced an invalid witness")
-        if not (p.exact and q.exact):
-            witness = StochasticWitness(
-                tuple(tuple(float(v) for v in row) for row in witness.matrix)
-            )
         return witness
     cells = [(float(length), i, j, float(p_mass), float(q_mass))
              for length, i, j, p_mass, q_mass in cells]
-    witness = StochasticWitness(_construct(cells, [float(g) for g in ep.ham.gibbs], n))
+    witness = StochasticWitness(_construct(cells, [float(g) for g in p.ham.gibbs], n))
     r = witness.residuals(p.probs, q.probs, gamma)
     if r["map"] > WITNESS_MAP_TOL or r["gibbs"] > WITNESS_GIBBS_TOL:
         raise WitnessNumericalError(f"witness failed validation: residuals {r}")

@@ -252,7 +252,8 @@ def test_search_config_json_round_trip():
 
 @pytest.mark.parametrize("bad", [
     {"marginal_grid": 0}, {"polytope_grid": 1}, {"budget_cells": 0}, {"dims": ((2, 3),)},
-    {"dims": ()},
+    {"dims": ()}, {"polytope_grid": 5.0}, {"marginal_grid": 2.5}, {"dims": ((2.0, 2),)},
+    {"budget_cells": True},
 ])
 def test_search_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):

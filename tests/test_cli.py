@@ -312,6 +312,12 @@ def test_env_variable_selects_mode(demo_files):
     assert "mode=rational" in res.stdout
 
 
+def test_unknown_env_mode_exits_two(demo_files):
+    res = run_cli("work", demo_files["rational"], env_extra={"THERMO_ORDER_MODE": "decimal"})
+    assert res.returncode == 2
+    assert res.stderr.strip() == "error: unknown numeric mode 'decimal'"
+
+
 def test_sweep_json_export(tmp_path, demo_files):
     out = tmp_path / "sweep.json"
     res = run_cli("sweep", demo_files["initial"], demo_files["final"], "--out", str(out))

@@ -71,6 +71,13 @@ def test_only_majorization_orders_levels():
     assert not found, found
 
 
+def test_exact_and_float_copies_are_made_only_at_the_boundary():
+    """The CLI converts loaded files and find_witness cuts its cells from exact
+    data; every other computation takes the arithmetic of its inputs."""
+    found = _calls(("to_exact", "to_float"), skip=("cli.py", "witness.py"))
+    assert not found, found
+
+
 @pytest.mark.parametrize("cls", [Hamiltonian, BlockState, JointCatalyst, LorenzCurve, StochasticWitness])
 def test_exactness_is_decided_once_at_construction(cls):
     exact = {f.name: f for f in dataclasses.fields(cls)}["exact"]

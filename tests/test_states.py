@@ -251,16 +251,6 @@ def test_tensor_all_order(rng):
     assert tensor_all([a, b, c]).probs == tensor(tensor(a, b), c).probs
 
 
-def test_numeric_mode_objects():
-    from thermoorder import NumericMode
-
-    assert NumericMode.rational().is_exact
-    assert not NumericMode.float64().is_exact
-    assert NumericMode.rational().cmp_tol == 0.0
-    with pytest.raises(ValueError):
-        NumericMode("decimal")
-
-
 def test_load_joint_file(tmp_path):
     from thermoorder import load_joint
     from thermoorder.states import save_json
@@ -280,6 +270,6 @@ def test_to_exact_renormalizes_dyadic_floats():
     assert exact.exact
     assert sum(exact.probs, Fraction(0)) == 1
     assert abs(float(exact.probs[0]) - 0.73) < 1e-15
-    # already-exact states convert unchanged
+    # an exact state is its own exact version, not a copy
     r = BlockState((Fraction(2, 3), Fraction(1, 3)), Hamiltonian.trivial(2))
-    assert r.to_exact().probs == r.probs
+    assert r.to_exact() is r

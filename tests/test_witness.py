@@ -156,11 +156,11 @@ def test_float_witness_when_only_the_top_levels_change(rng):
 
 
 @st.composite
-def float_pairs_above_exact_limit(draw):
-    """Float pairs with 13..24 levels, the target the image of the initial
-    state under a random Gibbs-preserving map; with few exchanges it leaves
-    some levels alone."""
-    n = draw(st.integers(13, 24))
+def float_pairs(draw):
+    """Float pairs with 2..24 levels, on both sides of the exact limit, the
+    target the image of the initial state under a random Gibbs-preserving
+    map; with few exchanges it leaves some levels alone."""
+    n = draw(st.integers(2, 24))
     ham = Hamiltonian(tuple(draw(st.lists(st.floats(0, 4), min_size=n, max_size=n))))
     weights = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n).filter(lambda w: sum(w) > 0.1))
     p = BlockState(tuple(w / sum(weights) for w in weights), ham)
@@ -170,9 +170,38 @@ def float_pairs_above_exact_limit(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(float_pairs_above_exact_limit())
-def test_float_witness_above_exact_limit_exists_iff_dominance(pair):
+@given(float_pairs())
+def test_float_witness_exists_iff_dominance(pair):
     _assert_witness_iff_exact_dominance(*pair)
+
+
+def test_witness_arithmetic_follows_the_inputs(rng):
+    # float inputs get a float witness below the exact limit too, and exact
+    # inputs an exact one
+    for n in range(2, EXACT_DIMENSION_LIMIT + 1):
+        a = random_state(rng, n)
+        w = find_witness(a, gibbs_mixture(a, 0.5))
+        assert not w.exact and all(type(v) is float for row in w.matrix for v in row)
+        ham = random_rational_gibbs_ham(rng, n)
+        p = BlockState(random_rational_distribution(rng, n), ham)
+        gamma = gibbs_state(ham).probs
+        q = BlockState(tuple((p_i + g) / 2 for p_i, g in zip(p.probs, gamma)), ham)
+        w = find_witness(p, q)
+        assert w.exact and all(type(v) is Fraction for row in w.matrix for v in row)
+        assert w.apply(p.probs) == q.probs
+
+
+def test_exact_witness_from_int_weights_and_int_probabilities():
+    # int lengths over int Gibbs weights would divide to floats; the exact
+    # construction must stay in Fractions
+    ham = Hamiltonian.from_gibbs_factors((1, 3, 2))
+    p = BlockState((1, 0, 0), ham)
+    q = BlockState((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), ham)
+    w = find_witness(p, q)
+    assert w is not None and w.exact
+    assert w.apply(p.probs) == q.probs
+    gamma = gibbs_state(ham).probs
+    assert w.apply(gamma) == gamma
 
 
 def test_exact_witness_at_exact_limit(rng):
@@ -259,7 +288,8 @@ def test_float_near_tie_is_decided_exactly(empty_levels):
     # 1e-14 of mass moved between the two lowest levels puts the initial
     # curve just below the final one, inside any float comparison slack;
     # empty levels only extend both curves by one flat piece, so the verdicts
-    # stay and the 16-level pair is built on the float side of the limit
+    # stay; the 16-level pair lies above the exact limit, which must not
+    # matter, since float inputs are built in floats at every size
     levels = (0.0, 0.4, 1.1, 2.0) + tuple(2.5 + k / 4 for k in range(empty_levels))
     assert (len(levels) > EXACT_DIMENSION_LIMIT) == bool(empty_levels)
     ham = Hamiltonian(levels)
