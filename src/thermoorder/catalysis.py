@@ -16,27 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .entropies import (
-    ALPHA_0,
-    ALPHA_1,
-    ALPHA_INF,
-    _divergences,
-    _entropies,
-    delta_f_sweep,
-    free_energy_gap,
-    total_correlation,
-)
-from .majorization import CurveComparison, thermomajorizes
-from .modes import POSSIBLE_TOL, SPECTRUM_TOL, is_exact_number, to_fraction
-from .states import (
-    BlockState,
-    JointCatalyst,
-    gibbs_state,
-    product_joint,
-    tensor,
-    tensor_all,
-    validate_distribution,
-)
+from .entropies import (ALPHA_0, ALPHA_1, ALPHA_INF, _correlation, _divergences, _entropies,
+                        delta_f_sweep, free_energy_gap)
+from .majorization import CurveComparison, beta_segments, compare_cells, refine, thermomajorizes
+from .modes import CMP_TOL, POSSIBLE_TOL, SPECTRUM_TOL, is_exact_number, to_fraction
+from .states import BlockState, JointCatalyst, gibbs_state, product_joint, validate_distribution
 
 PLAIN = "plain"
 CATALYTIC = "catalytic"
@@ -130,14 +114,27 @@ def qubit_pair_catalyst(s, q, x10) -> JointCatalyst:
     return JointCatalyst(entries, (2, 2))
 
 
+def _segments(s: BlockState, factors, gibbs, exact: bool) -> list:
+    """Beta-ordered segments of s next to catalysts with the given probabilities,
+    from the products of ``tensor_all``; gibbs repeats each of s's weights
+    once per catalyst level (catalyst weights are all 1)."""
+    probs = s.probs
+    for f in factors:
+        probs = [p * c for p in probs for c in f]
+    return beta_segments(probs, gibbs, exact)
+
+
 def verify_correlating_transition(a: BlockState, b: BlockState,
                                   joint: JointCatalyst) -> CurveComparison:
     """Thermal-curve dominance of a next to the uncorrelated catalysts over
     b next to the correlated joint; local catalyst states match by
-    construction."""
-    initial = tensor_all([a, *joint.marginals()])
-    final = tensor(b, joint.as_state())
-    return thermomajorizes(initial, final)
+    construction. No composite state is built."""
+    if a.ham != b.ham:
+        raise ValueError("thermomajorization compares states on one Hamiltonian")
+    gibbs = [g for g in a.ham.gibbs for _ in joint.probs]
+    initial = _segments(a, [m.probs for m in joint.marginals()], gibbs, a.exact and joint.exact)
+    final = _segments(b, [joint.probs], gibbs, b.exact and joint.exact)
+    return compare_cells(refine(initial, final), 0 if a.exact and b.exact and joint.exact else CMP_TOL)
 
 
 @dataclass(frozen=True)
@@ -151,16 +148,12 @@ class SearchConfig:
 
     def __post_init__(self):
         # bools and floats are rejected, not truncated
-        for name in ("marginal_grid", "polytope_grid", "budget_cells"):
+        for name, least in (("marginal_grid", 1), ("polytope_grid", 2), ("budget_cells", 1)):
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.marginal_grid < 1:
-            raise ValueError(f"marginal_grid must be at least 1, not {self.marginal_grid}")
-        if self.polytope_grid < 2:
-            raise ValueError(f"polytope_grid must be at least 2, not {self.polytope_grid}")
-        if self.budget_cells < 1:
-            raise ValueError(f"budget_cells must be at least 1, not {self.budget_cells}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, not {value}")
         if not self.dims:
             raise ValueError("dims must name at least one catalyst shape")
         for dims in self.dims:
@@ -201,40 +194,33 @@ class SearchResult:
     cells_evaluated: int
 
 
-def _marginal_values(k: int):
-    return [Fraction(i, k + 1) for i in range(1, k + 1)]
-
-
-def _lattice(lo: Fraction, hi: Fraction, count: int):
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
-
-
 def _cells(k: int, config: SearchConfig):
-    """Single-direction slices of the k-qubit fixed-marginal polytope.
+    """Single-direction slices of the k-qubit fixed-marginal polytope, as
+    (marginal distributions, lambda, joint probabilities) per cell.
 
     For each marginal tuple, every qubit subset of size >= 2 gives one
     correlation pattern: entry i of the product point moves by +-lambda, the
     sign being (-1)^|subset & i|. Each slice is walked outward from the
     product point, so low-correlation joints come first.
     """
-    grid = _marginal_values(config.marginal_grid if k == 2 else max(3, config.marginal_grid // 2))
+    count = config.marginal_grid if k == 2 else max(3, config.marginal_grid // 2)
+    grid = [Fraction(i, count + 1) for i in range(1, count + 1)]
     masks = sorted((m for m in range(1, 1 << k) if bin(m).count("1") >= 2),
                    key=lambda m: (bin(m).count("1"), -m))
     # two qubits flip the sign, so that lambda runs along x10 = P(1, 0)
     even_up = k != 2
     patterns = [[(bin(m & i).count("1") % 2 == 0) == even_up for i in range(1 << k)]
                 for m in masks]
-    dims = (2,) * k
     for margs in itertools.product(grid, repeat=k):
-        base = [math.prod(xs) for xs in itertools.product(*((x, 1 - x) for x in margs))]
+        margs = tuple((x, 1 - x) for x in margs)
+        base = [math.prod(xs) for xs in itertools.product(*margs)]
         for up in patterns:
             lo = max(-v for v, u in zip(base, up) if u)
             hi = min(v for v, u in zip(base, up) if not u)
-            lams = _lattice(lo, hi, config.polytope_grid)
-            lams.sort(key=lambda v: (abs(v), v))
-            for lam in lams:
-                yield JointCatalyst(tuple(v + lam if u else v - lam for v, u in zip(base, up)), dims)
+            step = (hi - lo) / (config.polytope_grid - 1)
+            for lam in sorted((lo + i * step for i in range(config.polytope_grid)),
+                              key=lambda v: (abs(v), v)):
+                yield margs, lam, tuple(v + lam if u else v - lam for v, u in zip(base, up))
 
 
 def search_correlating_catalyst(a: BlockState, b: BlockState,
@@ -251,27 +237,39 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
     if not verdict.possible:
         raise ValueError(f"correlating transition is impossible: {verdict.reason}")
 
-    direct = thermomajorizes(a, b)
-    if direct.dominates:
+    if thermomajorizes(a, b).dominates:
         joint = product_joint([[Fraction(1, d)] * d for d in config.dims[0]])
-        comparison = verify_correlating_transition(a, b, joint)
-        return SearchResult(joint, comparison, 0.0, 0)
+        return SearchResult(joint, verify_correlating_transition(a, b, joint), 0.0, 0)
 
     # correlations above the free-energy gap can never certify (the gap caps
     # the total correlation), so such cells are skipped without curve work
     budget_i = free_energy_gap(a, ALPHA_1) - free_energy_gap(b, ALPHA_1)
+    tol = 0 if a.exact and b.exact else CMP_TOL
     cells = 0
     for dims in config.dims:
-        for joint in _cells(len(dims), config):
+        # the cells of verify_correlating_transition, with a's side and the
+        # marginal entropies built once per marginal tuple
+        gibbs = [g for g in a.ham.gibbs for _ in range(2 ** len(dims))]
+        margs = None
+        for cell_margs, lam, probs in _cells(len(dims), config):
             if cells >= config.budget_cells:
                 return None
             cells += 1
-            info = total_correlation(joint)
+            if cell_margs != margs:
+                margs, product_seen = cell_margs, False
+                initial = _segments(a, margs, gibbs, a.exact)
+                parts = math.fsum(_entropies(m, [ALPHA_1])[0] for m in margs)
+            if not lam:
+                # the product point recurs in every slice that holds it
+                if product_seen:
+                    continue
+                product_seen = True
+            info = _correlation(parts, probs)
             if info > budget_i + POSSIBLE_TOL:
                 continue
-            comparison = verify_correlating_transition(a, b, joint)
+            comparison = compare_cells(refine(initial, _segments(b, [probs], gibbs, b.exact)), tol)
             if comparison.dominates:
-                return SearchResult(joint, comparison, info, cells)
+                return SearchResult(JointCatalyst(probs, dims), comparison, info, cells)
     return None
 
 

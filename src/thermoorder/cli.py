@@ -30,7 +30,6 @@ from .catalysis import (
     correlating_catalytic_possible,
     qubit_pair_catalyst,
     search_correlating_catalyst,
-    total_correlation,
     verify_correlating_transition,
     work_quantities,
 )
@@ -41,6 +40,7 @@ from .entropies import (
     delta_f_sweep,
     format_number,
     free_energy_gap,
+    total_correlation,
     work_bit_delta_f,
 )
 from .majorization import thermal_lorenz, thermomajorizes
@@ -338,11 +338,10 @@ def cmd_example(args, report: RunReport, out) -> int:
          f"verdict {cmp_joint.verdict}, min interior gap {format_number(cmp_joint.min_gap)}")
 
     # 5. marginals preserved exactly (rational arithmetic)
-    m1, m2 = c1, c2
-    margins_ok = (m1.probs == (demo.CATALYST_S, 1 - demo.CATALYST_S)
-                  and m2.probs == (demo.CATALYST_Q, 1 - demo.CATALYST_Q))
+    margins_ok = (c1.probs == (demo.CATALYST_S, 1 - demo.CATALYST_S)
+                  and c2.probs == (demo.CATALYST_Q, 1 - demo.CATALYST_Q))
     step("marginal-preservation", margins_ok,
-         f"marginals {tuple(float(v) for v in m1.probs)} and {tuple(float(v) for v in m2.probs)}")
+         f"marginals {tuple(float(v) for v in c1.probs)} and {tuple(float(v) for v in c2.probs)}")
 
     # 6. total correlation stays within the free-energy budget
     info = total_correlation(joint)
@@ -409,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "entropies in nats).",
         parents=[common],
     )
-    parser.set_defaults(numeric_mode=None, tol=None, report=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common],
@@ -474,11 +472,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
-        kind = args.numeric_mode or os.environ.get("THERMO_ORDER_MODE", "float")
+        # shared options default to absent: a subparser never overwrites them
+        kind = getattr(args, "numeric_mode", None) or os.environ.get("THERMO_ORDER_MODE", "float")
         if kind not in NUMERIC_MODES:
             raise ValueError(f"unknown numeric mode {kind!r}")
         args.exact = kind == "rational"
-        args.cmp_tol = 0.0 if args.exact else CMP_TOL if args.tol is None else args.tol
+        args.cmp_tol = 0.0 if args.exact else getattr(args, "tol", CMP_TOL)
         report = RunReport(
             command=args.command,
             mode=kind,
@@ -488,7 +487,7 @@ def main(argv=None) -> int:
         )
         code = args.func(args, report, out)
         report.print_text(out)
-        if args.report:
+        if getattr(args, "report", None):
             save_json(report.to_json_obj(), args.report)
         return code
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError,

@@ -288,13 +288,16 @@ def delta_f_sweep(initial: BlockState, final: BlockState, alphas=None) -> AlphaP
 
 
 def total_correlation(joint: JointCatalyst) -> float:
-    """Sum of marginal Shannon entropies minus the joint Shannon entropy;
-    rounding negatives within CORRELATION_CLAMP read as 0."""
+    """Sum of marginal Shannon entropies minus the joint Shannon entropy."""
     parts = math.fsum(_entropies(m.probs, [ALPHA_1])[0] for m in joint.marginals())
-    value = parts - _entropies(joint.probs, [ALPHA_1])[0]
-    if -CORRELATION_CLAMP < value < 0:
-        return 0.0
-    return value
+    return _correlation(parts, joint.probs)
+
+
+def _correlation(parts: float, probs) -> float:
+    """parts, the marginals' summed Shannon entropy, minus that of probs;
+    rounding negatives within CORRELATION_CLAMP read as 0."""
+    value = parts - _entropies(probs, [ALPHA_1])[0]
+    return 0.0 if -CORRELATION_CLAMP < value < 0 else value
 
 
 def mutual_info_bound(epsilon: float, w: float) -> float:

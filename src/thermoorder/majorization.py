@@ -41,11 +41,13 @@ class BetaOrdering:
     rescaled: tuple
 
 
-def beta_order(s: BlockState) -> BetaOrdering:
+def beta_segments(probs, gibbs, exact: bool) -> list:
+    """A state's partition of [0, Z] from raw data: segments (g_i, p_i/g_i, i)
+    in beta order, the order of ``beta_order``; exact is the state's flag."""
     # Fraction(p, g) keeps two ints exact, where p / g would give a float
-    ratios = [Fraction(p, g) if s.exact else p / g for p, g in zip(s.probs, s.ham.gibbs)]
-    idx = sorted(range(len(ratios)), key=lambda i: (-ratios[i], -s.probs[i], i))
-    if not s.exact:
+    ratios = [Fraction(p, g) if exact else p / g for p, g in zip(probs, gibbs)]
+    idx = sorted(range(len(ratios)), key=lambda i: (-ratios[i], -probs[i], i))
+    if not exact:
         # chain-group nearly equal rescaled values, then re-break by (p, index)
         groups = []
         for i in idx:
@@ -53,11 +55,13 @@ def beta_order(s: BlockState) -> BetaOrdering:
                 groups[-1].append(i)
             else:
                 groups.append([i])
-        idx = []
-        for grp in groups:
-            grp.sort(key=lambda i: (-s.probs[i], i))
-            idx.extend(grp)
-    return BetaOrdering(tuple(idx), tuple(ratios[i] for i in idx))
+        idx = [i for grp in groups for i in sorted(grp, key=lambda i: (-probs[i], i))]
+    return [(gibbs[i], ratios[i], i) for i in idx]
+
+
+def beta_order(s: BlockState) -> BetaOrdering:
+    segments = beta_segments(s.probs, s.ham.gibbs, s.exact)
+    return BetaOrdering(tuple(i for *_, i in segments), tuple(r for _, r, _ in segments))
 
 
 @dataclass(frozen=True)
@@ -206,11 +210,7 @@ def compare_cells(cells, tol) -> CurveComparison:
 
 def thermal_cells(a: BlockState, b: BlockState) -> list:
     """Common cells of the beta-ordered partitions of [0, Z] of a and b by level."""
-    segments = []
-    for s in (a, b):
-        order = beta_order(s)
-        segments.append([(s.ham.gibbs[i], r, i) for i, r in zip(order.perm, order.rescaled)])
-    return refine(*segments)
+    return refine(*(beta_segments(s.probs, s.ham.gibbs, s.exact) for s in (a, b)))
 
 
 def _curve_segments(curve: LorenzCurve) -> list:

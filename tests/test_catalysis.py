@@ -352,21 +352,23 @@ def test_statement_five_inequality_on_demo_instance(demo_pair, demo_joint):
 def test_three_qubit_cells_preserve_marginals_and_order():
     import itertools
 
+    from thermoorder import JointCatalyst
     from thermoorder.catalysis import _cells
 
     config = SearchConfig(marginal_grid=5, polytope_grid=5)
     first = list(itertools.islice(_cells(3, config), 200))
     second = list(itertools.islice(_cells(3, config), 200))
-    assert [j.probs for j in first] == [j.probs for j in second]
-    for joint in first:
-        assert joint.dims == (2, 2, 2)
+    assert first == second
+    for margs, lam, probs in first:
+        joint = JointCatalyst(probs, (2, 2, 2))
         assert sum(joint.probs, Fraction(0)) == 1
         assert all(p >= 0 for p in joint.probs)
+        assert tuple(m.probs for m in joint.marginals()) == margs
         assert total_correlation(joint) >= 0.0
+        assert (lam == 0) == (total_correlation(joint) == 0.0)
     # four correlation patterns of five cells each per marginal triple
     for start in range(0, 200, 20):
-        margs = {tuple(m.probs for m in j.marginals()) for j in first[start:start + 20]}
-        assert len(margs) == 1
+        assert len({margs for margs, _, _ in first[start:start + 20]}) == 1
 
 
 # sha256 over "p0,p1,...\n" per cell (Fractions as str) of the first 20,000
@@ -389,9 +391,9 @@ def test_cell_sequence_is_pinned(k, marginal_grid, polytope_grid):
 
     config = SearchConfig(marginal_grid=marginal_grid, polytope_grid=polytope_grid)
     h = hashlib.sha256()
-    for joint in itertools.islice(_cells(k, config), 20_000):
-        assert joint.dims == (2,) * k
-        h.update((",".join(map(str, joint.probs)) + "\n").encode())
+    for _, _, probs in itertools.islice(_cells(k, config), 20_000):
+        assert len(probs) == 2 ** k
+        h.update((",".join(map(str, probs)) + "\n").encode())
     assert h.hexdigest() == CELL_DIGESTS[k, marginal_grid, polytope_grid]
 
 
@@ -419,3 +421,161 @@ def test_three_subsystem_marginals():
     assert marginal(joint, 1).probs == (Fraction(2, 3), Fraction(1, 3))
     assert marginal(joint, 2).probs == (Fraction(3, 4), Fraction(1, 4))
     assert total_correlation(joint) == pytest.approx(0.0, abs=1e-12)
+
+
+# -- equivalence with the composite-state path -------------------------------------
+
+def _composite_verify(a, b, joint):
+    """The comparison verify_correlating_transition and the search replaced:
+    both sides built as validated composite states."""
+    from thermoorder import tensor, tensor_all, thermomajorizes
+
+    return thermomajorizes(tensor_all([a, *joint.marginals()]), tensor(b, joint.as_state()))
+
+
+def _per_cell_search(a, b, config):
+    """The search as a validated joint, its total correlation and a
+    composite-state comparison per cell."""
+    from thermoorder import JointCatalyst, SearchResult, thermomajorizes
+    from thermoorder.catalysis import _cells
+    from thermoorder.modes import POSSIBLE_TOL
+
+    if not correlating_catalytic_possible(a, b).possible:
+        raise ValueError("correlating transition is impossible")
+    if thermomajorizes(a, b).dominates:
+        joint = product_joint([[Fraction(1, d)] * d for d in config.dims[0]])
+        return SearchResult(joint, _composite_verify(a, b, joint), 0.0, 0)
+    budget = free_energy_gap(a, ALPHA_1) - free_energy_gap(b, ALPHA_1)
+    cells = 0
+    for dims in config.dims:
+        for _, _, probs in _cells(len(dims), config):
+            if cells >= config.budget_cells:
+                return None
+            cells += 1
+            joint = JointCatalyst(probs, dims)
+            info = total_correlation(joint)
+            if info > budget + POSSIBLE_TOL:
+                continue
+            comparison = _composite_verify(a, b, joint)
+            if comparison.dominates:
+                return SearchResult(joint, comparison, info, cells)
+    return None
+
+
+def _search_pairs():
+    """Demo-family pairs certified directly, early, late, at three qubits or
+    not at all on the reduced grid, and seeded random 3-level crossing pairs
+    whose free energy drops; each in float and in exact arithmetic."""
+    import random
+
+    from thermoorder import thermomajorizes
+
+    pairs = [work_extraction_pair(*point) for point in (
+        (1.0, 0.01, 0.7, 0.03), (2.0, 0.01, 0.6, 0.005), (0.5, 0.01, 0.8, 0.004),
+        (2.5, 0.05, 0.75, 0.02), (1.0, 0.01, 0.75, 0.006),
+    )]
+    # the three-qubit walk at grid (5, 5) certifies this one at cell 18,
+    # after three repeats of its first product point
+    ham = Hamiltonian((0.08832456224991658, 0.3628077645062876, 1.215838270188409))
+    pairs.append((BlockState((0.010945686168071653, 0.6590757774333322, 0.32997853639859615), ham),
+                  BlockState((0.33345215294519637, 0.328502229249655, 0.3380456178051487), ham)))
+    rng = random.Random(401)
+    while len(pairs) < 9:
+        a = random_state(rng, 3)
+        b = gibbs_mixture(BlockState(random_distribution(rng, 3), a.ham), rng.uniform(0.3, 0.9))
+        if correlating_catalytic_possible(a, b).possible and not thermomajorizes(a, b).dominates:
+            pairs.append((a, b))
+    return pairs + [(a.to_exact(), b.to_exact()) for a, b in pairs]
+
+
+@pytest.mark.parametrize("config", [
+    SearchConfig(marginal_grid=5, polytope_grid=5, budget_cells=200),
+    SearchConfig(dims=((2, 2),), marginal_grid=3, polytope_grid=4, budget_cells=40),
+    SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=60),
+    SearchConfig(dims=((2, 2, 2), (2, 2)), marginal_grid=7, polytope_grid=6, budget_cells=90),
+], ids=["both-5x5", "two-qubit", "three-qubit", "three-then-two"])
+def test_search_matches_the_per_cell_composite_path(config):
+    outcomes, late = set(), []
+    for a, b in _search_pairs():
+        result = search_correlating_catalyst(a, b, config)
+        assert result == _per_cell_search(a, b, config)
+        assert result is None or type(result.total_correlation) is float
+        outcomes.add((a.exact, result is not None and result.cells_evaluated > 0))
+        late.append(result is not None and result.cells_evaluated == 18)
+    # found and not found, in both arithmetics
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+    if config.dims == ((2, 2, 2),):
+        assert late.count(True) == 2  # the pair after the repeats, float and exact
+
+
+def test_three_qubit_product_point_is_compared_once(monkeypatch):
+    import itertools
+
+    import thermoorder.catalysis as catalysis
+
+    compared = []
+    segments = catalysis._segments
+
+    def recording(s, factors, gibbs, exact):
+        if len(factors) == 1:  # the final side: b next to one joint
+            compared.append(factors[0])
+        return segments(s, factors, gibbs, exact)
+
+    monkeypatch.setattr(catalysis, "_segments", recording)
+    initial, final = work_extraction_pair(1.0, 0.01, 0.75, 0.006)
+    config = SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=100)
+    assert search_correlating_catalyst(initial, final, config) is None
+    walked = list(itertools.islice(catalysis._cells(3, config), 100))
+    products = {probs for _, lam, probs in walked if lam == 0}
+    # four slices of five cells per marginal triple, each starting at its product point
+    assert len(products) == 5 and sum(lam == 0 for _, lam, _ in walked) == 20
+    assert len(compared) == len(set(compared))
+    assert products <= set(compared) <= {probs for *_, probs in walked}
+
+
+def _exact_gibbs_mixture(state, weight):
+    gamma = gibbs_state(state.ham)
+    return BlockState(tuple((1 - weight) * p + weight * g
+                            for p, g in zip(state.probs, gamma.probs)), state.ham)
+
+
+def test_verify_matches_the_composite_state_comparison(rng):
+    from thermoorder import JointCatalyst
+
+    from conftest import random_rational_distribution, random_rational_gibbs_ham
+
+    verdicts = set()
+    for trial in range(160):
+        n = rng.randint(2, 5)
+        dims = ((2, 2), (2, 3), (3, 2), (2, 2, 2))[trial % 4]
+        size = math.prod(dims)
+        exact_states, exact_joint = (trial // 4) % 2 == 0, (trial // 8) % 2 == 0
+        if exact_states:
+            a = BlockState(random_rational_distribution(rng, n), random_rational_gibbs_ham(rng, n))
+            b = _exact_gibbs_mixture(a, Fraction(rng.randint(0, 8), 8)) if trial % 3 \
+                else BlockState(random_rational_distribution(rng, n), a.ham)
+        else:
+            a = random_state(rng, n)
+            b = gibbs_mixture(a, rng.random()) if trial % 3 \
+                else BlockState(random_distribution(rng, n), a.ham)
+        if exact_joint:
+            probs = random_rational_distribution(rng, size)
+        else:
+            probs = random_distribution(rng, size)
+        joint = JointCatalyst(probs, dims)
+        if trial % 5 == 0:  # the product of the joint's marginals
+            joint = product_joint([m.probs for m in joint.marginals()])
+        expected = _composite_verify(a, b, joint)
+        assert verify_correlating_transition(a, b, joint) == expected
+        verdicts.add(expected.verdict)
+    assert {ABOVE, CROSSING} <= verdicts
+
+
+def test_verify_rejects_states_on_different_hamiltonians(demo_pair, demo_joint):
+    initial, final = demo_pair
+    shifted = BlockState(final.probs, Hamiltonian(tuple(e + 1.0 for e in final.ham.levels)))
+    with pytest.raises(ValueError, match="one Hamiltonian"):
+        verify_correlating_transition(initial, shifted, demo_joint)
+    qubit = BlockState((0.5, 0.5), Hamiltonian((0.0, 1.0)))
+    with pytest.raises(ValueError, match="one Hamiltonian"):
+        verify_correlating_transition(qubit, final, demo_joint)

@@ -372,6 +372,32 @@ def test_report_json_written(tmp_path, demo_files):
     assert "state" in data["inputs"]
 
 
+@pytest.mark.parametrize("where", ["before", "after"])
+@pytest.mark.parametrize("options, header", [
+    (["--numeric-mode", "rational"], "mode=rational cmp_tol=0.0 "),
+    (["--tol", "0.001"], "mode=float cmp_tol=0.001 "),
+], ids=["numeric-mode", "tol"])
+def test_shared_options_apply_on_either_side_of_the_subcommand(demo_files, options, header, where):
+    command = ["work", demo_files["rational"]]
+    res = run_cli(*options, *command) if where == "before" else run_cli(*command, *options)
+    assert res.returncode == 0, res.stderr
+    assert header in res.stdout.splitlines()[0]
+
+
+def test_report_option_before_the_subcommand_writes_the_report(tmp_path, demo_files):
+    report = tmp_path / "report.json"
+    res = run_cli("--report", str(report), "--numeric-mode", "rational", "work", demo_files["rational"])
+    assert res.returncode == 0, res.stderr
+    data = json.loads(report.read_text())
+    assert (data["command"], data["mode"]) == ("work", "rational")
+
+
+def test_shared_option_after_the_subcommand_wins(demo_files):
+    res = run_cli("--numeric-mode", "rational", "work", "--numeric-mode", "float", demo_files["rational"])
+    assert res.returncode == 0, res.stderr
+    assert "mode=float " in res.stdout.splitlines()[0]
+
+
 def test_check_correlating_flags_equal_free_energy(tmp_path):
     a = tmp_path / "a.json"
     save_json({"levels": [0, 0], "probs": ["3/5", "2/5"]}, a)
