@@ -51,11 +51,8 @@ from .majorization import (
     BELOW,
     CROSSING,
     EQUAL,
-    BetaOrdering,
     CurveComparison,
     LorenzCurve,
-    beta_order,
-    compare,
     lorenz,
     majorizes,
     thermal_lorenz,

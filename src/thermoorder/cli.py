@@ -63,7 +63,7 @@ from .states import (
     state_to_dict,
     tensor,
 )
-from .witness import WitnessNumericalError, find_witness
+from .witness import WitnessNumericalError, _witness_or_comparison, find_witness
 
 EXIT_OK = 0
 EXIT_IMPOSSIBLE = 1
@@ -238,10 +238,9 @@ def cmd_search(args, report: RunReport, out) -> int:
 def cmd_witness(args, report: RunReport, out) -> int:
     a = _load(args.initial, args.exact)
     b = _load(args.final, args.exact)
-    witness = find_witness(a, b)
+    witness, cmp_result = _witness_or_comparison(a, b)
     if witness is None:
-        # the exact comparison find_witness decided on; floats can tie where it does not
-        cmp_result = thermomajorizes(a.to_exact(), b.to_exact())
+        # the exact comparison that decided; floats can tie where it does not
         report.verdicts["feasible"] = False
         report.verdicts["curve"] = cmp_result.verdict
         if cmp_result.violations:

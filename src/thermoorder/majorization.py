@@ -1,25 +1,26 @@
-"""Lorenz curves, beta-ordering, and the (thermo)majorization decision.
+"""Beta-ordering, Lorenz curves, and the (thermo)majorization decision.
 
 A thermal Lorenz curve plots cumulative beta-ordered probability against
 cumulative Gibbs weight; one state can reach another through a
 Gibbs-preserving stochastic map exactly when its curve lies everywhere on
 or above the target's. Every dominance question is decided on the common
-cells of two ordered partitions of one interval: a state's partition is its
-beta order, a curve's the pieces between its points. Curves are concave
-and piecewise linear, so the running sums of the two cell masses, the curve
-gaps at the breakpoints of both curves, decide dominance everywhere.
+cells of two states' partitions of [0, Z], each its levels' Gibbs weights
+in beta order. Curves are concave and piecewise linear, so the running
+sums of the two cell masses, the curve gaps at the breakpoints of both
+curves, decide dominance everywhere; plain majorization is the case of a
+trivial Hamiltonian. Curves themselves are built only for export.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 from .entropies import format_number
-from .modes import CMP_TOL, RISE_TOL, SLOPE_TOL, TIE_TOL, all_exact
+from .modes import CMP_TOL, TIE_TOL
 from .states import BlockState, Hamiltonian
 
 ABOVE = "above"
@@ -28,22 +29,15 @@ CROSSING = "crossing"
 EQUAL = "equal"
 
 
-@dataclass(frozen=True)
-class BetaOrdering:
-    """Permutation sorting levels by Gibbs-rescaled probability p_i/g_i.
+def beta_segments(probs, gibbs, exact: bool) -> list:
+    """A state's partition of [0, Z] from raw data: segments (g_i, p_i/g_i, i)
+    in beta order, by decreasing Gibbs-rescaled probability p_i/g_i; exact
+    is the state's flag.
 
     Ties break toward the larger probability, then the smaller original
     index; the curve itself does not depend on the resolution, but exports
     do, so the rule is pinned.
     """
-
-    perm: tuple
-    rescaled: tuple
-
-
-def beta_segments(probs, gibbs, exact: bool) -> list:
-    """A state's partition of [0, Z] from raw data: segments (g_i, p_i/g_i, i)
-    in beta order, the order of ``beta_order``; exact is the state's flag."""
     # Fraction(p, g) keeps two ints exact, where p / g would give a float
     ratios = [Fraction(p, g) if exact else p / g for p, g in zip(probs, gibbs)]
     idx = sorted(range(len(ratios)), key=lambda i: (-ratios[i], -probs[i], i))
@@ -59,17 +53,12 @@ def beta_segments(probs, gibbs, exact: bool) -> list:
     return [(gibbs[i], ratios[i], i) for i in idx]
 
 
-def beta_order(s: BlockState) -> BetaOrdering:
-    segments = beta_segments(s.probs, s.ham.gibbs, s.exact)
-    return BetaOrdering(tuple(i for *_, i in segments), tuple(r for _, r, _ in segments))
-
-
 @dataclass(frozen=True)
 class LorenzCurve:
-    """Concave piecewise-linear curve from (0,0) to (X_total, 1)."""
+    """Piecewise-linear curve from (0,0) to (X_total, 1), for export; points
+    at one x are merged into one."""
 
     points: tuple
-    exact: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = [(x, y) for x, y in self.points]
@@ -84,19 +73,8 @@ class LorenzCurve:
                 continue
             if x < px:
                 raise ValueError("x coordinates must be non-decreasing")
-            if y < py and not (isinstance(y, float) and py - y <= RISE_TOL):
-                raise ValueError("y must be non-decreasing")
             merged.append((x, y))
-        exact = all_exact(x for x, _ in merged) and all_exact(y for _, y in merged)
-        slope_tol = 0 if exact else SLOPE_TOL
-        prev = None
-        for (x0, y0), (x1, y1) in zip(merged, merged[1:]):
-            slope = (y1 - y0) / (x1 - x0)
-            if prev is not None and slope > prev + slope_tol:
-                raise ValueError("curve is not concave")
-            prev = slope
         object.__setattr__(self, "points", tuple(merged))
-        object.__setattr__(self, "exact", exact)
 
     @property
     def x_extent(self):
@@ -114,7 +92,7 @@ def thermal_lorenz(s: BlockState) -> LorenzCurve:
 
     Zero-probability levels land at the end as flat segments, keeping the
     full partition-function extent."""
-    perm = beta_order(s).perm
+    perm = [i for *_, i in beta_segments(s.probs, s.ham.gibbs, s.exact)]
     if s.exact:
         xs = accumulate((s.ham.gibbs[i] for i in perm), initial=Fraction(0))
         ys = accumulate((s.probs[i] for i in perm), initial=Fraction(0))
@@ -213,33 +191,6 @@ def thermal_cells(a: BlockState, b: BlockState) -> list:
     return refine(*(beta_segments(s.probs, s.ham.gibbs, s.exact) for s in (a, b)))
 
 
-def _curve_segments(curve: LorenzCurve) -> list:
-    pts = curve.points
-    return [(x1 - x0, (y1 - y0) / (x1 - x0), None) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
-
-
-def compare(candidate_above: LorenzCurve, candidate_below: LorenzCurve,
-            cmp_tol: float = CMP_TOL) -> CurveComparison:
-    """Decide whether the first curve dominates the second.
-
-    Both curves must share their x-extent (same partition function); a
-    mismatch means the states live on incompatible Hamiltonians.
-    """
-    xa, xb = candidate_above.x_extent, candidate_below.x_extent
-    exact = candidate_above.exact and candidate_below.exact
-    tol = 0 if exact else cmp_tol
-    extent_gap = abs(float(xa) - float(xb))
-    if extent_gap > (0 if exact else cmp_tol * max(1.0, float(xa), float(xb))):
-        raise ValueError(
-            f"curves span different x-extents ({float(xa)!r} vs {float(xb)!r}): "
-            "incompatible Hamiltonians"
-        )
-    if not (xa and xb):
-        return CurveComparison(EQUAL, (), False, 0.0, 0.0)
-    return compare_cells(refine(_curve_segments(candidate_above),
-                                _curve_segments(candidate_below)), tol)
-
-
 def thermomajorizes(a: BlockState, b: BlockState, cmp_tol: float = CMP_TOL) -> CurveComparison:
     """Thermal-curve dominance of a over b, read off their common cells
     without building a curve; identical Hamiltonians required."""
@@ -249,7 +200,8 @@ def thermomajorizes(a: BlockState, b: BlockState, cmp_tol: float = CMP_TOL) -> C
 
 
 def majorizes(p, q) -> CurveComparison:
-    """Partial-sum dominance of sorted probability vectors: the Lorenz curve
-    comparison, with the shorter input zero-padded."""
+    """Partial-sum dominance of sorted probability vectors: thermomajorization
+    on the trivial Hamiltonian, with the shorter input zero-padded."""
     n = max(len(p), len(q))
-    return compare(lorenz([*p] + [0] * (n - len(p))), lorenz([*q] + [0] * (n - len(q))))
+    ham = Hamiltonian.trivial(n)
+    return thermomajorizes(*(BlockState((*v, *(0,) * (n - len(v))), ham) for v in (p, q)))

@@ -2,14 +2,14 @@
 
 Every quantity in the library is either a float or an exact
 ``fractions.Fraction`` (or int). Exactness is decided once, when a value
-object (``Hamiltonian``, ``BlockState``, ``JointCatalyst``, ``LorenzCurve``,
+object (``Hamiltonian``, ``BlockState``, ``JointCatalyst``,
 ``StochasticWitness``) is constructed, and stored in its ``exact`` field;
 nothing re-scans the data afterwards. Each computation takes the arithmetic
 of its inputs; the CLI's --numeric-mode only decides whether the files it
 loads become rationals or floats. Exact data is compared without any
 slack. Float data gets the slack in the table below, the only place these
 values live. Two of them are also parameters, because callers use more
-than one value: ``cmp_tol`` of ``compare``/``thermomajorizes`` (the CLI's
+than one value: ``cmp_tol`` of ``thermomajorizes`` (the CLI's
 ``--tol``) and ``tol`` of the catalytic criteria (the CLI passes
 ``max(cmp_tol, FREE_ENERGY_FLOOR)``).
 """
@@ -23,8 +23,6 @@ from fractions import Fraction
 NORM_TOL = 1e-12              # |sum(p) - 1| allowed at state construction
 CMP_TOL = 1e-10               # default curve-comparison slack (--tol)
 TIE_TOL = 1e-12               # beta ordering: rescaled values this close tie
-SLOPE_TOL = 1e-9              # concavity check of Lorenz curves
-RISE_TOL = 1e-15              # rounding dip allowed in a Lorenz curve's heights
 POSSIBLE_TOL = 1e-10          # default slack of the free-energy criteria
 FREE_ENERGY_FLOOR = 1e-15     # the CLI's free-energy slack is max(cmp_tol, this)
 ALPHA_ONE_WINDOW = 1e-6       # orders closer to 1 use the alpha = 1 formula

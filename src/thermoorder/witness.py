@@ -194,32 +194,39 @@ def find_witness(p: BlockState, q: BlockState):
     rendered once to floats, which must pass the residual bounds. Any
     returned witness has been re-validated by direct multiplication.
     """
+    return _witness_or_comparison(p, q)[0]
+
+
+def _witness_or_comparison(p: BlockState, q: BlockState) -> tuple:
+    """(witness, None) as find_witness builds it, or (None, the exact cells'
+    comparison that rules one out), for callers that report why."""
     if p.ham != q.ham:
         raise ValueError("witness search needs both states on the same Hamiltonian")
     n = len(p)
     gamma = gibbs_state(p.ham).probs
     if p.probs == q.probs:
-        return identity_witness(n)
+        return identity_witness(n), None
     if q.probs == gamma:
         rows = tuple(tuple(gamma[i] for _ in range(n)) for i in range(n))
-        return StochasticWitness(rows)
+        return StochasticWitness(rows), None
     cells = thermal_cells(p.to_exact(), q.to_exact())
-    if not compare_cells(cells, 0).dominates:
-        return None
+    comparison = compare_cells(cells, 0)
+    if not comparison.dominates:
+        return None, comparison
     if p.exact and q.exact and n <= EXACT_DIMENSION_LIMIT:
         # Fraction weights, so that int lengths over int weights stay exact
         witness = StochasticWitness(_construct(cells, [Fraction(g) for g in p.ham.gibbs], n))
         # exact arithmetic, so equality is strict
         if witness.apply(p.probs) != q.probs or witness.apply(gamma) != gamma:
             raise WitnessNumericalError("exact construction produced an invalid witness")
-        return witness
+        return witness, None
     cells = [(float(length), i, j, float(p_mass), float(q_mass))
              for length, i, j, p_mass, q_mass in cells]
     witness = StochasticWitness(_construct(cells, [float(g) for g in p.ham.gibbs], n))
     r = witness.residuals(p.probs, q.probs, gamma)
     if r["map"] > WITNESS_MAP_TOL or r["gibbs"] > WITNESS_GIBBS_TOL:
         raise WitnessNumericalError(f"witness failed validation: residuals {r}")
-    return witness
+    return witness, None
 
 
 def random_gibbs_stochastic(ham: Hamiltonian, seed: int, weight: float = 1.0,

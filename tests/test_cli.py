@@ -203,6 +203,37 @@ def test_witness_reports_the_exact_comparison_on_a_float_near_tie(tmp_path):
     assert "violating_breakpoint_x" in res.stdout
 
 
+@pytest.mark.parametrize("mode, gap", [("float", "0.049999999999999996"),
+                                       ("rational", "0.050000000000000003")],
+                         ids=("float", "rational"))
+def test_witness_decides_an_infeasible_pair_once(tmp_path, monkeypatch, capsys, mode, gap):
+    # the comparison that rules the witness out is the one reported
+    from thermoorder import cli, majorization
+
+    cut = majorization.thermal_cells
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return cut(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("thermoorder") and getattr(module, "thermal_cells", None) is cut:
+            monkeypatch.setattr(module, "thermal_cells", counted)
+    a = tmp_path / "a.json"
+    save_json({"levels": [0, 0, 0], "probs": ["3/5", "1/4", "3/20"]}, a)
+    b = tmp_path / "b.json"
+    save_json({"levels": [0, 0, 0], "probs": ["1/2", "2/5", "1/10"]}, b)
+    assert cli.main(["witness", str(a), str(b), "--numeric-mode", mode]) == 1
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines()[3:] == [
+        "feasible: False",
+        "curve: crossing",
+        "violating_breakpoint_x = 2",
+        f"violating_breakpoint_gap = {gap}",
+    ]
+
+
 @pytest.mark.parametrize("command", [("check", "--mode", "catalytic"), ("sweep",)])
 def test_empty_order_list_exits_two(demo_files, command):
     res = run_cli(command[0], demo_files["initial"], demo_files["final"], *command[1:],

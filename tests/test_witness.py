@@ -8,7 +8,6 @@ from thermoorder import (
     BlockState,
     Hamiltonian,
     StochasticWitness,
-    compare,
     find_witness,
     gibbs_state,
     identity_witness,
@@ -18,7 +17,6 @@ from thermoorder import (
     thermomajorizes,
 )
 from thermoorder.entropies import nonnegative_alpha_grid
-from thermoorder.majorization import beta_order
 from thermoorder.modes import CMP_TOL
 from thermoorder.witness import EXACT_DIMENSION_LIMIT
 
@@ -30,7 +28,7 @@ from conftest import (
     random_rational_gibbs_ham,
     random_state,
 )
-from test_majorization import union_reference
+from test_majorization import beta_perm, union_reference
 
 
 def test_identity_fast_path(rng):
@@ -144,7 +142,7 @@ def test_float_witness_when_only_the_top_levels_change(rng):
     feasible = 0
     for _ in range(20):
         a = random_state(rng, 16)
-        i, j = beta_order(a).perm[:2]
+        i, j = beta_perm(a)[:2]
         g = a.ham.gibbs
         s = rng.random() * min(1.0, g[j] / g[i])
         t = s * g[i] / g[j]
@@ -242,7 +240,7 @@ def exact_pairs(draw):
     # mix toward the Gibbs shape separately within p's first k beta-ordered
     # levels and within the rest: the first block keeps its mass and still
     # comes first, so the target's curve meets p's at p's k-th breakpoint
-    head = set(beta_order(p).perm[:draw(st.integers(1, n - 1))])
+    head = set(beta_perm(p)[:draw(st.integers(1, n - 1))])
     blocks = [[i for i in range(n) if (i in head) == side] for side in (True, False)]
     probs = [None] * n
     for block in blocks:
@@ -265,6 +263,21 @@ def test_witness_exists_iff_dominance_and_checks_out_exactly(pair):
         assert w.apply(gamma) == gamma
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(exact_pairs(), st.fractions(Fraction(1, 64), 64, max_denominator=64))
+def test_exact_verdicts_are_gauge_invariant(pair, c):
+    # multiplying every Gibbs weight by c shifts every level by -ln c: the
+    # cell masses stay and the cell lengths, so the breakpoints, scale by c
+    p, q = pair
+    ham = Hamiltonian.from_gibbs_factors(tuple(c * g for g in p.ham.gibbs))
+    cp, cq = BlockState(p.probs, ham), BlockState(q.probs, ham)
+    want, got = thermomajorizes(p, q), thermomajorizes(cp, cq)
+    assert (got.verdict, got.marginal, got.min_gap, got.max_gap) == \
+        (want.verdict, want.marginal, want.min_gap, want.max_gap)
+    assert got.violations == tuple((c * x, gap) for x, gap in want.violations)
+    assert (find_witness(cp, cq) is None) == (find_witness(p, q) is None)
+
+
 def _fields(c):
     return c.verdict, c.violations, c.marginal, c.min_gap, c.max_gap
 
@@ -275,12 +288,11 @@ def test_cells_decide_like_the_union_of_breakpoints(pair):
     p, q = pair
     want = union_reference(thermal_lorenz(p), thermal_lorenz(q), 0)
     assert _fields(thermomajorizes(p, q)) == want
-    assert _fields(compare(thermal_lorenz(p), thermal_lorenz(q))) == want
     fp, fq = p.to_float(), q.to_float()
     want = union_reference(thermal_lorenz(fp), thermal_lorenz(fq), CMP_TOL)
-    for got in (thermomajorizes(fp, fq), compare(thermal_lorenz(fp), thermal_lorenz(fq))):
-        assert got.verdict == want[0]
-        assert abs(got.min_gap - want[3]) <= 1e-14 and abs(got.max_gap - want[4]) <= 1e-14
+    got = thermomajorizes(fp, fq)
+    assert got.verdict == want[0]
+    assert abs(got.min_gap - want[3]) <= 1e-14 and abs(got.max_gap - want[4]) <= 1e-14
 
 
 @pytest.mark.parametrize("empty_levels", [0, 12])
