@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .entropies import (ALPHA_0, ALPHA_1, ALPHA_INF, _correlation, _divergences, _entropies,
@@ -192,35 +192,55 @@ class SearchResult:
     comparison: CurveComparison
     total_correlation: float
     cells_evaluated: int
+    # curve comparisons the walk ran; cells skipped by the correlation budget
+    # or as a repeated product point are evaluated but not compared
+    cells_compared: int = field(default=0, compare=False)
 
 
-def _cells(k: int, config: SearchConfig):
-    """Single-direction slices of the k-qubit fixed-marginal polytope, as
-    (marginal distributions, lambda, joint probabilities) per cell.
+def _lattice(k: int, config: SearchConfig):
+    """Single-direction slices of the k-qubit fixed-marginal polytope in
+    integers, as (n, d, walk).
+
+    Every grid value is x/n for the marginal grid's n, so with the product
+    point scaled by polytope_grid - 1 every joint entry and every lambda is
+    an integer over the one denominator d = n^k (polytope_grid - 1). The walk
+    yields, per marginal tuple, the ground-population numerators over n and
+    its cells as (lambda, joint) numerators over d.
 
     For each marginal tuple, every qubit subset of size >= 2 gives one
     correlation pattern: entry i of the product point moves by +-lambda, the
     sign being (-1)^|subset & i|. Each slice is walked outward from the
     product point, so low-correlation joints come first.
     """
-    count = config.marginal_grid if k == 2 else max(3, config.marginal_grid // 2)
-    grid = [Fraction(i, count + 1) for i in range(1, count + 1)]
+    n = 1 + (config.marginal_grid if k == 2 else max(3, config.marginal_grid // 2))
+    scale = config.polytope_grid - 1
     masks = sorted((m for m in range(1, 1 << k) if bin(m).count("1") >= 2),
                    key=lambda m: (bin(m).count("1"), -m))
     # two qubits flip the sign, so that lambda runs along x10 = P(1, 0)
     even_up = k != 2
     patterns = [[(bin(m & i).count("1") % 2 == 0) == even_up for i in range(1 << k)]
                 for m in masks]
-    for margs in itertools.product(grid, repeat=k):
-        margs = tuple((x, 1 - x) for x in margs)
-        base = [math.prod(xs) for xs in itertools.product(*margs)]
+
+    def cells(xs):
+        base = [math.prod(ys) * scale for ys in itertools.product(*((x, n - x) for x in xs))]
         for up in patterns:
             lo = max(-v for v, u in zip(base, up) if u)
             hi = min(v for v, u in zip(base, up) if not u)
-            step = (hi - lo) / (config.polytope_grid - 1)
-            for lam in sorted((lo + i * step for i in range(config.polytope_grid)),
-                              key=lambda v: (abs(v), v)):
-                yield margs, lam, tuple(v + lam if u else v - lam for v, u in zip(base, up))
+            # lo and hi are multiples of scale, so the step is exact
+            for lam in sorted(range(lo, hi + 1, (hi - lo) // scale), key=lambda v: (abs(v), v)):
+                yield lam, tuple(v + lam if u else v - lam for v, u in zip(base, up))
+
+    return n, n ** k * scale, ((xs, cells(xs)) for xs in itertools.product(range(1, n), repeat=k))
+
+
+def _cells(k: int, config: SearchConfig):
+    """The cells of ``_lattice`` as Fractions: (marginal distributions,
+    lambda, joint probabilities) per cell."""
+    n, d, walk = _lattice(k, config)
+    for xs, cells in walk:
+        margs = tuple((Fraction(x, n), Fraction(n - x, n)) for x in xs)
+        for lam, joint in cells:
+            yield margs, Fraction(lam, d), tuple(Fraction(v, d) for v in joint)
 
 
 def search_correlating_catalyst(a: BlockState, b: BlockState,
@@ -245,31 +265,42 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
     # the total correlation), so such cells are skipped without curve work
     budget_i = free_energy_gap(a, ALPHA_1) - free_energy_gap(b, ALPHA_1)
     tol = 0 if a.exact and b.exact else CMP_TOL
-    cells = 0
+    cells = compared = 0
     for dims in config.dims:
         # the cells of verify_correlating_transition, with a's side and the
-        # marginal entropies built once per marginal tuple
+        # marginal entropies built once per marginal tuple. Entropies read the
+        # float copies v / d of the integer cells, and so do a float state's
+        # segments: float * Fraction is float * float(Fraction), and
+        # float(Fraction(v, d)) is v / d (both correctly rounded), so these
+        # are the bits Fraction cells would give. Exact states take Fraction(v, d).
         gibbs = [g for g in a.ham.gibbs for _ in range(2 ** len(dims))]
-        margs = None
-        for cell_margs, lam, probs in _cells(len(dims), config):
-            if cells >= config.budget_cells:
-                return None
-            cells += 1
-            if cell_margs != margs:
-                margs, product_seen = cell_margs, False
-                initial = _segments(a, margs, gibbs, a.exact)
-                parts = math.fsum(_entropies(m, [ALPHA_1])[0] for m in margs)
-            if not lam:
-                # the product point recurs in every slice that holds it
-                if product_seen:
+        n, d, walk = _lattice(len(dims), config)
+        for xs, tuple_cells in walk:
+            margs = [(x / n, (n - x) / n) for x in xs]
+            factors = [(Fraction(x, n), Fraction(n - x, n)) for x in xs] if a.exact else margs
+            initial = _segments(a, factors, gibbs, a.exact)
+            parts = math.fsum(_entropies(m, [ALPHA_1])[0] for m in margs)
+            product_seen = False
+            for lam, joint in tuple_cells:
+                if cells >= config.budget_cells:
+                    return None
+                cells += 1
+                if not lam:
+                    # the product point recurs in every slice that holds it
+                    if product_seen:
+                        continue
+                    product_seen = True
+                probs = [v / d for v in joint]
+                info = _correlation(parts, probs)
+                if info > budget_i + POSSIBLE_TOL:
                     continue
-                product_seen = True
-            info = _correlation(parts, probs)
-            if info > budget_i + POSSIBLE_TOL:
-                continue
-            comparison = compare_cells(refine(initial, _segments(b, [probs], gibbs, b.exact)), tol)
-            if comparison.dominates:
-                return SearchResult(JointCatalyst(probs, dims), comparison, info, cells)
+                if b.exact:
+                    probs = [Fraction(v, d) for v in joint]
+                compared += 1
+                comparison = compare_cells(refine(initial, _segments(b, [probs], gibbs, b.exact)), tol)
+                if comparison.dominates:
+                    catalyst = JointCatalyst(tuple(Fraction(v, d) for v in joint), dims)
+                    return SearchResult(catalyst, comparison, info, cells, compared)
     return None
 
 

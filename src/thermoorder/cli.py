@@ -221,6 +221,7 @@ def cmd_search(args, report: RunReport, out) -> int:
     report.verdicts["curve"] = result.comparison.verdict
     report.numbers["total_correlation"] = result.total_correlation
     report.numbers["cells_evaluated"] = result.cells_evaluated
+    report.numbers["cells_compared"] = result.cells_compared
     if args.out:
         payload = {
             "joint": joint_to_dict(result.joint),

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thermoorder import (
     ABOVE,
@@ -23,6 +25,7 @@ from thermoorder import (
     search_correlating_catalyst,
     shrinking_epsilon_demo,
     smooth_toward_gibbs,
+    thermomajorizes,
     total_correlation,
     verify_correlating_transition,
     work_quantities,
@@ -518,19 +521,82 @@ def test_three_qubit_product_point_is_compared_once(monkeypatch):
 
     def recording(s, factors, gibbs, exact):
         if len(factors) == 1:  # the final side: b next to one joint
-            compared.append(factors[0])
+            compared.append(tuple(factors[0]))
         return segments(s, factors, gibbs, exact)
 
     monkeypatch.setattr(catalysis, "_segments", recording)
     initial, final = work_extraction_pair(1.0, 0.01, 0.75, 0.006)
     config = SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=100)
     assert search_correlating_catalyst(initial, final, config) is None
-    walked = list(itertools.islice(catalysis._cells(3, config), 100))
-    products = {probs for _, lam, probs in walked if lam == 0}
+    # a float search compares the float copies of the cells
+    walked = [(lam, tuple(map(float, probs)))
+              for _, lam, probs in itertools.islice(catalysis._cells(3, config), 100)]
+    products = {probs for lam, probs in walked if lam == 0}
     # four slices of five cells per marginal triple, each starting at its product point
-    assert len(products) == 5 and sum(lam == 0 for _, lam, _ in walked) == 20
+    assert len(products) == 5 and sum(lam == 0 for lam, _ in walked) == 20
     assert len(compared) == len(set(compared))
-    assert products <= set(compared) <= {probs for *_, probs in walked}
+    assert products <= set(compared) <= {probs for _, probs in walked}
+
+
+def test_float_search_does_no_fraction_arithmetic(monkeypatch):
+    calls = []
+    for name in ("__float__", "__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        method = getattr(Fraction, name)
+
+        def counting(*args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    initial, final = work_extraction_pair(1.0, 0.01, 0.75, 0.006)
+    config = SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=100)
+    assert search_correlating_catalyst(initial, final, config) is None
+    assert calls == []
+
+
+@st.composite
+def correlating_pairs(draw):
+    """Float 2..4-level pairs that a correlated catalyst can link but the
+    direct curves do not: two random states, the one of higher free energy
+    first."""
+    n = draw(st.integers(2, 4))
+    ham = Hamiltonian(tuple(draw(st.lists(st.floats(0, 3), min_size=n, max_size=n))))
+
+    def state():
+        weights = draw(st.lists(st.floats(0.01, 1), min_size=n, max_size=n))
+        return BlockState(tuple(w / sum(weights) for w in weights), ham)
+
+    a, b = sorted((state(), state()), key=lambda s: -free_energy_gap(s, ALPHA_1))
+    assume(correlating_catalytic_possible(a, b).possible and not thermomajorizes(a, b).dominates)
+    return a, b
+
+
+@settings(max_examples=25, deadline=None)
+@given(correlating_pairs())
+def test_search_matches_the_per_cell_search_on_generated_pairs(pair):
+    for a, b in (pair, tuple(s.to_exact() for s in pair)):
+        for config in (SearchConfig(dims=((2, 2),), marginal_grid=3, polytope_grid=4, budget_cells=40),
+                       SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=60)):
+            assert search_correlating_catalyst(a, b, config) == _per_cell_search(a, b, config)
+
+
+def test_search_counts_the_cells_it_compares(monkeypatch):
+    import thermoorder.catalysis as catalysis
+
+    final_sides = []
+    segments = catalysis._segments
+
+    def recording(s, factors, gibbs, exact):
+        if len(factors) == 1:
+            final_sides.append(factors[0])
+        return segments(s, factors, gibbs, exact)
+
+    monkeypatch.setattr(catalysis, "_segments", recording)
+    initial, final = work_extraction_pair(2.5, 0.05, 0.75, 0.02)
+    config = SearchConfig(marginal_grid=5, polytope_grid=5, budget_cells=300)
+    result = search_correlating_catalyst(initial, final, config)
+    assert 0 < result.cells_compared <= result.cells_evaluated == 126
+    assert result.cells_compared == len(final_sides)
 
 
 def _exact_gibbs_mixture(state, weight):

@@ -271,6 +271,15 @@ def test_search_reference_pair_succeeds(tmp_path, demo_files):
     assert data["total_correlation"] > 0
 
 
+def test_search_reports_the_cells_it_compared(tmp_path, demo_files):
+    report = tmp_path / "report.json"
+    res = run_cli("search", demo_files["initial"], demo_files["final"], "--report", str(report))
+    assert res.returncode == 0
+    numbers = json.loads(report.read_text())["numbers"]
+    assert 0 < numbers["cells_compared"] <= numbers["cells_evaluated"]
+    assert f"cells_compared = {numbers['cells_compared']}" in res.stdout
+
+
 def test_search_reverse_pair_exits_one(demo_files):
     res = run_cli("search", demo_files["final"], demo_files["initial"])
     assert res.returncode == 1
