@@ -265,6 +265,11 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
     # the total correlation), so such cells are skipped without curve work
     budget_i = free_energy_gap(a, ALPHA_1) - free_energy_gap(b, ALPHA_1)
     tol = 0 if a.exact and b.exact else CMP_TOL
+    # exact states and Fraction entries take Fraction cells, so p * c is
+    # rounded once, as the composite state rounds it; float states (ints are
+    # only 0 or 1 here) multiply by the float copies and never touch a Fraction
+    a_rational, b_rational = (s.exact or any(isinstance(p, Fraction) for p in s.probs)
+                              for s in (a, b))
     cells = compared = 0
     for dims in config.dims:
         # the cells of verify_correlating_transition, with a's side and the
@@ -272,12 +277,12 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
         # float copies v / d of the integer cells, and so do a float state's
         # segments: float * Fraction is float * float(Fraction), and
         # float(Fraction(v, d)) is v / d (both correctly rounded), so these
-        # are the bits Fraction cells would give. Exact states take Fraction(v, d).
+        # are the bits Fraction cells would give. Fraction states take Fraction(v, d).
         gibbs = [g for g in a.ham.gibbs for _ in range(2 ** len(dims))]
         n, d, walk = _lattice(len(dims), config)
         for xs, tuple_cells in walk:
             margs = [(x / n, (n - x) / n) for x in xs]
-            factors = [(Fraction(x, n), Fraction(n - x, n)) for x in xs] if a.exact else margs
+            factors = [(Fraction(x, n), Fraction(n - x, n)) for x in xs] if a_rational else margs
             initial = _segments(a, factors, gibbs, a.exact)
             parts = math.fsum(_entropies(m, [ALPHA_1])[0] for m in margs)
             product_seen = False
@@ -294,7 +299,7 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
                 info = _correlation(parts, probs)
                 if info > budget_i + POSSIBLE_TOL:
                     continue
-                if b.exact:
+                if b_rational:
                     probs = [Fraction(v, d) for v in joint]
                 compared += 1
                 comparison = compare_cells(refine(initial, _segments(b, [probs], gibbs, b.exact)), tol)
