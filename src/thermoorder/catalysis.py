@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .entropies import (ALPHA_0, ALPHA_1, ALPHA_INF, _correlation, _divergences, _entropies,
                         delta_f_sweep, free_energy_gap)
-from .majorization import CurveComparison, beta_segments, compare_cells, refine, thermomajorizes
+from .majorization import (CurveComparison, beta_segments, compare_cells, integer_segments, refine,
+                           thermomajorizes)
 from .modes import CMP_TOL, POSSIBLE_TOL, SPECTRUM_TOL, is_exact_number, to_fraction
 from .states import BlockState, JointCatalyst, gibbs_state, product_joint, validate_distribution
 
@@ -204,8 +206,9 @@ def _lattice(k: int, config: SearchConfig):
     Every grid value is x/n for the marginal grid's n, so with the product
     point scaled by polytope_grid - 1 every joint entry and every lambda is
     an integer over the one denominator d = n^k (polytope_grid - 1). The walk
-    yields, per marginal tuple, the ground-population numerators over n and
-    its cells as (lambda, joint) numerators over d.
+    yields, per marginal tuple, the ground-population numerators over n, the
+    product point's numerators over d and its cells as (lambda, joint)
+    numerators over d.
 
     For each marginal tuple, every qubit subset of size >= 2 gives one
     correlation pattern: entry i of the product point moves by +-lambda, the
@@ -221,8 +224,7 @@ def _lattice(k: int, config: SearchConfig):
     patterns = [[(bin(m & i).count("1") % 2 == 0) == even_up for i in range(1 << k)]
                 for m in masks]
 
-    def cells(xs):
-        base = [math.prod(ys) * scale for ys in itertools.product(*((x, n - x) for x in xs))]
+    def cells(base):
         for up in patterns:
             lo = max(-v for v, u in zip(base, up) if u)
             hi = min(v for v, u in zip(base, up) if not u)
@@ -230,17 +232,44 @@ def _lattice(k: int, config: SearchConfig):
             for lam in sorted(range(lo, hi + 1, (hi - lo) // scale), key=lambda v: (abs(v), v)):
                 yield lam, tuple(v + lam if u else v - lam for v, u in zip(base, up))
 
-    return n, n ** k * scale, ((xs, cells(xs)) for xs in itertools.product(range(1, n), repeat=k))
+    def walk():
+        for xs in itertools.product(range(1, n), repeat=k):
+            base = [math.prod(ys) * scale for ys in itertools.product(*((x, n - x) for x in xs))]
+            yield xs, base, cells(base)
+
+    return n, n ** k * scale, walk()
 
 
 def _cells(k: int, config: SearchConfig):
     """The cells of ``_lattice`` as Fractions: (marginal distributions,
     lambda, joint probabilities) per cell."""
     n, d, walk = _lattice(k, config)
-    for xs, cells in walk:
+    for xs, _, cells in walk:
         margs = tuple((Fraction(x, n), Fraction(n - x, n)) for x in xs)
         for lam, joint in cells:
             yield margs, Fraction(lam, d), tuple(Fraction(v, d) for v in joint)
+
+
+def _numerators(values) -> tuple:
+    """Exact values as integer numerators over their least common denominator,
+    and that denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _integer_data(a: BlockState, b: BlockState, reps: int) -> tuple:
+    """Exact a and b on their one Hamiltonian in integers, as (lengths,
+    weights, a's numerators, b's numerators, unit): the Gibbs weights'
+    numerators G over their least common denominator and the weights
+    lcm(G) / G_i, each repeated once per catalyst level; the probabilities'
+    numerators over their one common denominator m; and m lcm(G), the factor
+    a cell's integer mass carries besides the lattice's denominator."""
+    gibbs, _ = _numerators(a.ham.gibbs)
+    top = math.lcm(*gibbs)
+    probs, m = _numerators(a.probs + b.probs)
+    lengths = [g for g in gibbs for _ in range(reps)]
+    weights = [top // g for g in lengths]
+    return lengths, weights, probs[:len(a.probs)], probs[len(a.probs):], m * top
 
 
 def search_correlating_catalyst(a: BlockState, b: BlockState,
@@ -265,9 +294,10 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
     # the total correlation), so such cells are skipped without curve work
     budget_i = free_energy_gap(a, ALPHA_1) - free_energy_gap(b, ALPHA_1)
     tol = 0 if a.exact and b.exact else CMP_TOL
-    # exact states and Fraction entries take Fraction cells, so p * c is
-    # rounded once, as the composite state rounds it; float states (ints are
-    # only 0 or 1 here) multiply by the float copies and never touch a Fraction
+    # Fraction entries take Fraction cells (unless exact integer cells decide,
+    # below), so p * c is rounded once, as the composite state rounds it; float
+    # states (ints are only 0 or 1 here) multiply by the float copies and
+    # never touch a Fraction
     a_rational, b_rational = (s.exact or any(isinstance(p, Fraction) for p in s.probs)
                               for s in (a, b))
     cells = compared = 0
@@ -277,13 +307,28 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
         # float copies v / d of the integer cells, and so do a float state's
         # segments: float * Fraction is float * float(Fraction), and
         # float(Fraction(v, d)) is v / d (both correctly rounded), so these
-        # are the bits Fraction cells would give. Fraction states take Fraction(v, d).
-        gibbs = [g for g in a.ham.gibbs for _ in range(2 ** len(dims))]
+        # are the bits Fraction cells would give. Exact states decide every
+        # cell in integers over one denominator: each segment's probability is
+        # scaled by m d and its Gibbs weight by one constant, so the order is
+        # beta_segments' own and every cell mass is the true one times
+        # m d lcm(G). Only the returned cell goes back to Fractions, checked
+        # by verify_correlating_transition. A gap is at most a side's total
+        # mass, and compare_cells reads its extremes as floats, so integers
+        # that could outgrow a float take Fraction cells instead.
+        reps = 2 ** len(dims)
+        gibbs = [g for g in a.ham.gibbs for _ in range(reps)]
         n, d, walk = _lattice(len(dims), config)
-        for xs, tuple_cells in walk:
+        integer = a.exact and b.exact
+        if integer:
+            lengths, weights, a_nums, b_nums, unit = _integer_data(a, b, reps)
+            integer = unit * d <= sys.float_info.max
+        for xs, base, tuple_cells in walk:
             margs = [(x / n, (n - x) / n) for x in xs]
-            factors = [(Fraction(x, n), Fraction(n - x, n)) for x in xs] if a_rational else margs
-            initial = _segments(a, factors, gibbs, a.exact)
+            if integer:
+                initial = integer_segments([p * v for p in a_nums for v in base], lengths, weights)
+            else:
+                factors = [(Fraction(x, n), Fraction(n - x, n)) for x in xs] if a_rational else margs
+                initial = _segments(a, factors, gibbs, a.exact)
             parts = math.fsum(_entropies(m, [ALPHA_1])[0] for m in margs)
             product_seen = False
             for lam, joint in tuple_cells:
@@ -299,12 +344,21 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
                 info = _correlation(parts, probs)
                 if info > budget_i + POSSIBLE_TOL:
                     continue
-                if b_rational:
-                    probs = [Fraction(v, d) for v in joint]
                 compared += 1
-                comparison = compare_cells(refine(initial, _segments(b, [probs], gibbs, b.exact)), tol)
+                if integer:
+                    final = integer_segments([p * v for p in b_nums for v in joint], lengths, weights)
+                else:
+                    if b_rational:
+                        probs = [Fraction(v, d) for v in joint]
+                    final = _segments(b, [probs], gibbs, b.exact)
+                comparison = compare_cells(refine(initial, final), tol)
                 if comparison.dominates:
                     catalyst = JointCatalyst(tuple(Fraction(v, d) for v in joint), dims)
+                    if integer:
+                        comparison = verify_correlating_transition(a, b, catalyst)
+                        if not comparison.dominates:
+                            raise RuntimeError(f"the integer cell walk certified {catalyst!r}, "
+                                               "which the exact verification rejects")
                     return SearchResult(catalyst, comparison, info, cells, compared)
     return None
 

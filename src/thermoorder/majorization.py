@@ -40,7 +40,7 @@ def beta_segments(probs, gibbs, exact: bool) -> list:
     """
     # Fraction(p, g) keeps two ints exact, where p / g would give a float
     ratios = [Fraction(p, g) if exact else p / g for p, g in zip(probs, gibbs)]
-    idx = sorted(range(len(ratios)), key=lambda i: (-ratios[i], -probs[i], i))
+    idx = _beta_order(ratios, probs)
     if not exact:
         # chain-group nearly equal rescaled values, then re-break by (p, index)
         groups = []
@@ -51,6 +51,25 @@ def beta_segments(probs, gibbs, exact: bool) -> list:
                 groups.append([i])
         idx = [i for grp in groups for i in sorted(grp, key=lambda i: (-probs[i], i))]
     return [(gibbs[i], ratios[i], i) for i in idx]
+
+
+def integer_segments(probs, lengths, weights) -> list:
+    """beta_segments of exact data scaled to integers: probs are the
+    probabilities' numerators over one denominator, lengths the Gibbs weights'
+    numerators over another, and weights[i] = lcm(lengths) / lengths[i].
+
+    The density probs[i] * weights[i] is p_i/g_i times one positive constant
+    and probs[i] is p_i times another, so the order is beta_segments' own, and
+    every cell mass is an integer: the true mass times one constant.
+    """
+    values = [p * w for p, w in zip(probs, weights)]
+    return [(lengths[i], values[i], i) for i in _beta_order(values, probs)]
+
+
+def _beta_order(values, probs) -> list:
+    """Indices by decreasing rescaled value; ties break toward the larger
+    probability, then the smaller original index."""
+    return sorted(range(len(values)), key=lambda i: (-values[i], -probs[i], i))
 
 
 @dataclass(frozen=True)
