@@ -538,7 +538,8 @@ def test_three_qubit_product_point_is_compared_once(monkeypatch):
     assert products <= set(compared) <= {probs for _, probs in walked}
 
 
-def test_float_search_does_no_fraction_arithmetic(monkeypatch):
+def _count_fraction_calls(monkeypatch) -> list:
+    """The list every later call of a Fraction arithmetic method is appended to."""
     calls = []
     for name in ("__float__", "__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
         method = getattr(Fraction, name)
@@ -548,10 +549,29 @@ def test_float_search_does_no_fraction_arithmetic(monkeypatch):
             return _method(*args)
 
         monkeypatch.setattr(Fraction, name, counting)
+    return calls
+
+
+def test_float_search_does_no_fraction_arithmetic(monkeypatch):
+    calls = _count_fraction_calls(monkeypatch)
     initial, final = work_extraction_pair(1.0, 0.01, 0.75, 0.006)
     config = SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=100)
     assert search_correlating_catalyst(initial, final, config) is None
     assert calls == []
+
+
+def test_exact_search_does_no_fraction_arithmetic_per_cell(monkeypatch):
+    # the Fraction work of an exact search is its set-up (precondition,
+    # direct curves, scaling to integers), whatever the number of cells
+    initial, final = (s.to_exact() for s in work_extraction_pair(1.0, 0.01, 0.75, 0.006))
+    calls = _count_fraction_calls(monkeypatch)
+    counts = []
+    for budget in (50, 100):
+        config = SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=budget)
+        assert search_correlating_catalyst(initial, final, config) is None
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[0] == counts[1] > 0
 
 
 @st.composite
@@ -587,20 +607,83 @@ def test_search_matches_the_per_cell_search_on_generated_pairs(pair):
 def test_search_counts_the_cells_it_compares(monkeypatch):
     import thermoorder.catalysis as catalysis
 
-    final_sides = []
-    segments = catalysis._segments
+    refined = []
+    refine = catalysis.refine
 
-    def recording(s, factors, gibbs, exact):
-        if len(factors) == 1:
-            final_sides.append(factors[0])
-        return segments(s, factors, gibbs, exact)
+    def recording(a, b):
+        refined.append(1)
+        return refine(a, b)
 
-    monkeypatch.setattr(catalysis, "_segments", recording)
-    initial, final = work_extraction_pair(2.5, 0.05, 0.75, 0.02)
+    monkeypatch.setattr(catalysis, "refine", recording)
+    pair = work_extraction_pair(2.5, 0.05, 0.75, 0.02)
     config = SearchConfig(marginal_grid=5, polytope_grid=5, budget_cells=300)
-    result = search_correlating_catalyst(initial, final, config)
-    assert 0 < result.cells_compared <= result.cells_evaluated == 126
-    assert result.cells_compared == len(final_sides)
+    counts = []
+    for initial, final in (pair, [s.to_exact() for s in pair]):
+        refined.clear()
+        result = search_correlating_catalyst(initial, final, config)
+        assert 0 < result.cells_compared <= result.cells_evaluated == 126
+        # an exact search also refines once to verify the returned cell
+        assert len(refined) == result.cells_compared + initial.exact
+        counts.append((result.cells_evaluated, result.cells_compared))
+    assert counts[0] == counts[1]
+
+
+def test_exact_search_raises_when_the_verification_disagrees(monkeypatch):
+    import thermoorder.catalysis as catalysis
+
+    initial, final = (s.to_exact() for s in work_extraction_pair(2.0, 0.01, 0.6, 0.005))
+    config = SearchConfig(marginal_grid=5, polytope_grid=5, budget_cells=200)
+    assert search_correlating_catalyst(initial, final, config).cells_evaluated > 0
+    crossing = catalysis.CurveComparison(CROSSING, ((Fraction(1, 2), Fraction(1, 100)),))
+    monkeypatch.setattr(catalysis, "verify_correlating_transition", lambda a, b, joint: crossing)
+    with pytest.raises(RuntimeError, match="exact verification rejects"):
+        search_correlating_catalyst(initial, final, config)
+
+
+def test_exact_search_matches_the_per_cell_search_on_tied_rational_pairs():
+    import random
+
+    # Gibbs weights over mixed small denominators give a non-trivial lcm; the
+    # initial state's rescaled values come from {1, .., 4}, so its levels tie
+    rng = random.Random(13)
+    configs = (SearchConfig(dims=((2, 2),), marginal_grid=3, polytope_grid=4, budget_cells=40),
+               SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=60))
+    pairs = ties = 0
+    found = set()
+    while pairs < 24:
+        n = rng.randint(2, 4)
+        ham = Hamiltonian.from_gibbs_factors([Fraction(rng.choice((1, 2, 3, 4, 6)), rng.choice((1, 2, 3, 5)))
+                                              for _ in range(n)])
+        weights = [rng.randint(1, 4) * g for g in ham.gibbs]
+        counts = [rng.randint(1, 12) for _ in range(n)]
+        a, b = sorted((BlockState(tuple(w / sum(weights) for w in weights), ham),
+                       BlockState(tuple(Fraction(c, sum(counts)) for c in counts), ham)),
+                      key=lambda s: -free_energy_gap(s, ALPHA_1))
+        if not correlating_catalytic_possible(a, b).possible or thermomajorizes(a, b).dominates:
+            continue
+        pairs += 1
+        ties += any(len({p / g for p, g in zip(s.probs, ham.gibbs)}) < n for s in (a, b))
+        for config in configs:
+            result = search_correlating_catalyst(a, b, config)
+            assert result == _per_cell_search(a, b, config)
+            found.add(result is not None)
+    assert ties and found == {False, True}
+
+
+def test_exact_search_is_gauge_invariant_beyond_float_range():
+    # scaling every Gibbs weight by one constant leaves each decision as it
+    # was; this one pushes the integer masses past the float range, where the
+    # search takes Fraction cells instead of overflowing in compare_cells
+    scale = Fraction(3 ** 700, 2 ** 1109)
+    config = SearchConfig(marginal_grid=5, polytope_grid=5, budget_cells=200)
+    outcomes = set()
+    for point in ((2.0, 0.01, 0.6, 0.005), (1.0, 0.01, 0.75, 0.006)):
+        a, b = (s.to_exact() for s in work_extraction_pair(*point))
+        ham = Hamiltonian.from_gibbs_factors([g * scale for g in a.ham.gibbs])
+        result = search_correlating_catalyst(BlockState(a.probs, ham), BlockState(b.probs, ham), config)
+        assert result == search_correlating_catalyst(a, b, config)
+        outcomes.add(result and result.cells_evaluated > 0)
+    assert outcomes == {None, True}
 
 
 def _exact_gibbs_mixture(state, weight):
