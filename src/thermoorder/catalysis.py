@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .entropies import (ALPHA_0, ALPHA_1, ALPHA_INF, _correlation, _divergences, _entropies,
                         delta_f_sweep, free_energy_gap)
-from .majorization import (CurveComparison, beta_segments, compare_cells, integer_segments, refine,
-                           thermomajorizes)
+from .majorization import (CurveComparison, beta_segments, compare_cells, integer_data,
+                           integer_segments, refine, thermomajorizes)
 from .modes import CMP_TOL, POSSIBLE_TOL, SPECTRUM_TOL, is_exact_number, to_fraction
 from .states import BlockState, JointCatalyst, gibbs_state, product_joint, validate_distribution
 
@@ -116,27 +115,43 @@ def qubit_pair_catalyst(s, q, x10) -> JointCatalyst:
     return JointCatalyst(entries, (2, 2))
 
 
-def _segments(s: BlockState, factors, gibbs, exact: bool) -> list:
-    """Beta-ordered segments of s next to catalysts with the given probabilities,
-    from the products of ``tensor_all``; gibbs repeats each of s's weights
-    once per catalyst level (catalyst weights are all 1)."""
-    probs = s.probs
+def _products(probs, factors) -> list:
+    """The probabilities of a system next to catalysts with the given
+    probabilities, in the order of ``tensor_all``."""
     for f in factors:
         probs = [p * c for p in probs for c in f]
-    return beta_segments(probs, gibbs, exact)
+    return probs
+
+
+def _segments(s: BlockState, factors, gibbs, exact: bool) -> list:
+    """Beta-ordered segments of s next to catalysts with the given probabilities;
+    gibbs repeats each of s's weights once per catalyst level (catalyst
+    weights are all 1)."""
+    return beta_segments(_products(s.probs, factors), gibbs, exact)
 
 
 def verify_correlating_transition(a: BlockState, b: BlockState,
                                   joint: JointCatalyst) -> CurveComparison:
     """Thermal-curve dominance of a next to the uncorrelated catalysts over
     b next to the correlated joint; local catalyst states match by
-    construction. No composite state is built."""
+    construction. No composite state is built.
+
+    Exact data is decided on integer cells: with every vector's numerators
+    over one denominator m, a's side is over m^(k+1) for k marginals and b's
+    over m^2, so b's side is scaled by m^(k-1)."""
     if a.ham != b.ham:
         raise ValueError("thermomajorization compares states on one Hamiltonian")
+    marginals = [c.probs for c in joint.marginals()]
+    if a.exact and b.exact and joint.exact:
+        lengths, weights, (pa, pb, pj, *pm), g, m, top = integer_data(
+            a.ham.gibbs, (a.probs, b.probs, joint.probs, *marginals), len(joint))
+        initial = integer_segments(_products(pa, pm), lengths, weights)
+        final = integer_segments(_products(pb, [pj, [m ** (len(pm) - 1)]]), lengths, weights)
+        return compare_cells(refine(initial, final), 0, (g, m ** (len(pm) + 1) * top))
     gibbs = [g for g in a.ham.gibbs for _ in joint.probs]
-    initial = _segments(a, [m.probs for m in joint.marginals()], gibbs, a.exact and joint.exact)
+    initial = _segments(a, marginals, gibbs, a.exact and joint.exact)
     final = _segments(b, [joint.probs], gibbs, b.exact and joint.exact)
-    return compare_cells(refine(initial, final), 0 if a.exact and b.exact and joint.exact else CMP_TOL)
+    return compare_cells(refine(initial, final), CMP_TOL)
 
 
 @dataclass(frozen=True)
@@ -250,28 +265,6 @@ def _cells(k: int, config: SearchConfig):
             yield margs, Fraction(lam, d), tuple(Fraction(v, d) for v in joint)
 
 
-def _numerators(values) -> tuple:
-    """Exact values as integer numerators over their least common denominator,
-    and that denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _integer_data(a: BlockState, b: BlockState, reps: int) -> tuple:
-    """Exact a and b on their one Hamiltonian in integers, as (lengths,
-    weights, a's numerators, b's numerators, unit): the Gibbs weights'
-    numerators G over their least common denominator and the weights
-    lcm(G) / G_i, each repeated once per catalyst level; the probabilities'
-    numerators over their one common denominator m; and m lcm(G), the factor
-    a cell's integer mass carries besides the lattice's denominator."""
-    gibbs, _ = _numerators(a.ham.gibbs)
-    top = math.lcm(*gibbs)
-    probs, m = _numerators(a.probs + b.probs)
-    lengths = [g for g in gibbs for _ in range(reps)]
-    weights = [top // g for g in lengths]
-    return lengths, weights, probs[:len(a.probs)], probs[len(a.probs):], m * top
-
-
 def search_correlating_catalyst(a: BlockState, b: BlockState,
                                 config: SearchConfig | None = None):
     """First grid joint certifying the correlating transition, or None.
@@ -293,7 +286,7 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
     # correlations above the free-energy gap can never certify (the gap caps
     # the total correlation), so such cells are skipped without curve work
     budget_i = free_energy_gap(a, ALPHA_1) - free_energy_gap(b, ALPHA_1)
-    tol = 0 if a.exact and b.exact else CMP_TOL
+    tol, units = (0 if a.exact and b.exact else CMP_TOL), None
     # Fraction entries take Fraction cells (unless exact integer cells decide,
     # below), so p * c is rounded once, as the composite state rounds it; float
     # states (ints are only 0 or 1 here) multiply by the float copies and
@@ -312,16 +305,15 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
         # scaled by m d and its Gibbs weight by one constant, so the order is
         # beta_segments' own and every cell mass is the true one times
         # m d lcm(G). Only the returned cell goes back to Fractions, checked
-        # by verify_correlating_transition. A gap is at most a side's total
-        # mass, and compare_cells reads its extremes as floats, so integers
-        # that could outgrow a float take Fraction cells instead.
+        # by verify_correlating_transition.
         reps = 2 ** len(dims)
         gibbs = [g for g in a.ham.gibbs for _ in range(reps)]
         n, d, walk = _lattice(len(dims), config)
         integer = a.exact and b.exact
         if integer:
-            lengths, weights, a_nums, b_nums, unit = _integer_data(a, b, reps)
-            integer = unit * d <= sys.float_info.max
+            lengths, weights, (a_nums, b_nums), g, m, top = integer_data(
+                a.ham.gibbs, (a.probs, b.probs), reps)
+            units = (g, m * d * top)
         for xs, base, tuple_cells in walk:
             margs = [(x / n, (n - x) / n) for x in xs]
             if integer:
@@ -351,7 +343,7 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
                     if b_rational:
                         probs = [Fraction(v, d) for v in joint]
                     final = _segments(b, [probs], gibbs, b.exact)
-                comparison = compare_cells(refine(initial, final), tol)
+                comparison = compare_cells(refine(initial, final), tol, units)
                 if comparison.dominates:
                     catalyst = JointCatalyst(tuple(Fraction(v, d) for v in joint), dims)
                     if integer:

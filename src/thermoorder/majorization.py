@@ -8,7 +8,8 @@ cells of two states' partitions of [0, Z], each its levels' Gibbs weights
 in beta order. Curves are concave and piecewise linear, so the running
 sums of the two cell masses, the curve gaps at the breakpoints of both
 curves, decide dominance everywhere; plain majorization is the case of a
-trivial Hamiltonian. Curves themselves are built only for export.
+trivial Hamiltonian. Exact data is decided on the same cells scaled to
+integers over one denominator. Curves themselves are built only for export.
 """
 
 from __future__ import annotations
@@ -64,6 +65,26 @@ def integer_segments(probs, lengths, weights) -> list:
     """
     values = [p * w for p, w in zip(probs, weights)]
     return [(lengths[i], values[i], i) for i in _beta_order(values, probs)]
+
+
+def integer_data(gibbs, vectors, reps: int = 1) -> tuple:
+    """Exact Gibbs weights and probability vectors in integers, for
+    integer_segments: (lengths, weights, numerators, g, m, top).
+
+    lengths are the Gibbs weights' numerators G over their least common
+    denominator g, each repeated reps times (once per catalyst level, whose
+    Gibbs weight is 1); weights are top / G_i with top = lcm(G); numerators
+    holds each vector's numerators over the one common denominator m of all
+    of them. On these lengths and weights, a cell's length is its true length
+    times g, and the mass of numerators over a denominator D is the true mass
+    times D top.
+    """
+    m = math.lcm(*(v.denominator for vector in vectors for v in vector))
+    numerators = [[v.numerator * (m // v.denominator) for v in vector] for vector in vectors]
+    g = math.lcm(*(v.denominator for v in gibbs))
+    lengths = [v.numerator * (g // v.denominator) for v in gibbs for _ in range(reps)]
+    top = math.lcm(*lengths)
+    return lengths, [top // v for v in lengths], numerators, g, m, top
 
 
 def _beta_order(values, probs) -> list:
@@ -188,19 +209,31 @@ def refine(a, b) -> list:
     return cells
 
 
-def compare_cells(cells, tol) -> CurveComparison:
+def compare_cells(cells, tol, units=None) -> CurveComparison:
     """Dominance of a over b from the gaps at the interior cell boundaries,
-    the running sums of a's minus b's cell mass, under slack tol (0 if exact)."""
+    the running sums of a's minus b's cell mass, under slack tol (0 if exact).
+
+    Integer cells (see integer_data) come with units = (x_unit, mass_unit),
+    the factors their lengths and masses carry: violations are then read as
+    Fraction(x, x_unit) and Fraction(gap, mass_unit), the extreme gaps as
+    g / mass_unit, which is float(Fraction(g, mass_unit)) and never
+    overflows, since a gap is at most one side's total mass.
+    """
     gaps = list(accumulate(mass_a - mass_b for *_, mass_a, mass_b in cells[:-1]))
     if not gaps:
         return CurveComparison(EQUAL, (), False, 0.0, 0.0)
+    x_unit, mass_unit = units or (None, None)
     dips = ()
     if any(d < -tol for d in gaps):
         xs = accumulate(length for length, *_ in cells)
-        dips = tuple((x, -d) for x, d in zip(xs, gaps) if d < -tol)
+        dips = tuple((x, -d) if units is None else (Fraction(x, x_unit), Fraction(-d, mass_unit))
+                     for x, d in zip(xs, gaps) if d < -tol)
     has_pos = any(d > tol for d in gaps)
     verdict = CROSSING if dips and has_pos else BELOW if dips else ABOVE if has_pos else EQUAL
-    min_gap, max_gap = float(min(gaps)), float(max(gaps))
+    if units is None:
+        min_gap, max_gap = float(min(gaps)), float(max(gaps))
+    else:
+        min_gap, max_gap = min(gaps) / mass_unit, max(gaps) / mass_unit
     marginal = verdict == ABOVE and min_gap <= float(tol)
     return CurveComparison(verdict, dips, marginal, min_gap, max_gap)
 
@@ -212,10 +245,16 @@ def thermal_cells(a: BlockState, b: BlockState) -> list:
 
 def thermomajorizes(a: BlockState, b: BlockState, cmp_tol: float = CMP_TOL) -> CurveComparison:
     """Thermal-curve dominance of a over b, read off their common cells
-    without building a curve; identical Hamiltonians required."""
+    without building a curve; identical Hamiltonians required. Exact states
+    are decided on integer cells, with the result compare_cells would give
+    on their Fraction cells."""
     if a.ham != b.ham:
         raise ValueError("thermomajorization compares states on one Hamiltonian")
-    return compare_cells(thermal_cells(a, b), 0 if a.exact and b.exact else cmp_tol)
+    if not (a.exact and b.exact):
+        return compare_cells(thermal_cells(a, b), cmp_tol)
+    lengths, weights, (pa, pb), g, m, top = integer_data(a.ham.gibbs, (a.probs, b.probs))
+    cells = refine(*(integer_segments(p, lengths, weights) for p in (pa, pb)))
+    return compare_cells(cells, 0, (g, m * top))
 
 
 def majorizes(p, q) -> CurveComparison:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -37,6 +38,7 @@ from thermoorder.demo import (
     SMOOTHING_GRID,
     work_extraction_pair,
 )
+from thermoorder.modes import CMP_TOL
 
 from conftest import gibbs_mixture, random_distribution, random_state
 
@@ -430,10 +432,13 @@ def test_three_subsystem_marginals():
 
 def _composite_verify(a, b, joint):
     """The comparison verify_correlating_transition and the search replaced:
-    both sides built as validated composite states."""
-    from thermoorder import tensor, tensor_all, thermomajorizes
+    both sides built as validated composite states, compared on their
+    Fraction or float cells."""
+    from thermoorder import tensor, tensor_all
+    from thermoorder.majorization import compare_cells, thermal_cells
 
-    return thermomajorizes(tensor_all([a, *joint.marginals()]), tensor(b, joint.as_state()))
+    initial, final = tensor_all([a, *joint.marginals()]), tensor(b, joint.as_state())
+    return compare_cells(thermal_cells(initial, final), 0 if initial.exact and final.exact else CMP_TOL)
 
 
 def _per_cell_search(a, b, config):
@@ -574,6 +579,23 @@ def test_exact_search_does_no_fraction_arithmetic_per_cell(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_exact_thermomajorizes_does_no_fraction_arithmetic_per_cell(monkeypatch):
+    from conftest import random_rational_distribution, random_rational_gibbs_ham
+
+    rng = random.Random(8)
+    pairs = []
+    for n in (8, 32):
+        ham = random_rational_gibbs_ham(rng, n)
+        pairs.append([BlockState(random_rational_distribution(rng, n), ham) for _ in range(2)])
+    calls = _count_fraction_calls(monkeypatch)
+    counts = []
+    for a, b in pairs:
+        assert thermomajorizes(a, b).verdict == CROSSING
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[0] == counts[1]
+
+
 @st.composite
 def correlating_pairs(draw):
     """Float 2..4-level pairs that a correlated catalyst can link but the
@@ -672,8 +694,8 @@ def test_exact_search_matches_the_per_cell_search_on_tied_rational_pairs():
 
 def test_exact_search_is_gauge_invariant_beyond_float_range():
     # scaling every Gibbs weight by one constant leaves each decision as it
-    # was; this one pushes the integer masses past the float range, where the
-    # search takes Fraction cells instead of overflowing in compare_cells
+    # was; this one pushes the integer masses past the float range, which
+    # compare_cells reads in their unit, so nothing overflows
     scale = Fraction(3 ** 700, 2 ** 1109)
     config = SearchConfig(marginal_grid=5, polytope_grid=5, budget_cells=200)
     outcomes = set()
@@ -698,6 +720,7 @@ def test_verify_matches_the_composite_state_comparison(rng):
     from conftest import random_rational_distribution, random_rational_gibbs_ham
 
     verdicts = set()
+    scaled = 0
     for trial in range(160):
         n = rng.randint(2, 5)
         dims = ((2, 2), (2, 3), (3, 2), (2, 2, 2))[trial % 4]
@@ -721,6 +744,13 @@ def test_verify_matches_the_composite_state_comparison(rng):
         expected = _composite_verify(a, b, joint)
         assert verify_correlating_transition(a, b, joint) == expected
         verdicts.add(expected.verdict)
+        if exact_states and exact_joint and trial < 16:
+            # once per shape, Gibbs weights whose integers lie beyond the float range
+            ham = Hamiltonian.from_gibbs_factors([g * Fraction(3 ** 700, 2 ** 1109) for g in a.ham.gibbs])
+            a, b = (BlockState(s.probs, ham) for s in (a, b))
+            assert verify_correlating_transition(a, b, joint) == _composite_verify(a, b, joint)
+            scaled += 1
+    assert scaled == 4
     assert {ABOVE, CROSSING} <= verdicts
 
 

@@ -23,7 +23,7 @@ from thermoorder import (
     thermomajorizes,
 )
 from thermoorder.entropies import nonnegative_alpha_grid
-from thermoorder.majorization import beta_segments
+from thermoorder.majorization import beta_segments, compare_cells, thermal_cells
 from thermoorder.modes import CMP_TOL
 
 from conftest import gibbs_mixture, random_distribution, random_hamiltonian, random_state
@@ -254,6 +254,41 @@ def test_exact_and_float_modes_agree_on_verdicts(rng):
         gap = max(abs(cmp_exact.min_gap), abs(cmp_exact.max_gap))
         if gap > 1e-9:
             assert exact_verdict == float_verdict
+
+
+# Gibbs weights times this constant stay near 1 as floats, but their
+# numerators and denominators lie beyond the float range
+BEYOND_FLOAT = Fraction(3 ** 700, 2 ** 1109)
+
+
+@st.composite
+def tied_rational_pairs(draw):
+    """Exact pairs of 2..32 levels with Gibbs weights from a small set, so
+    levels tie; a's rescaled values p_i/g_i come from {0, .., 3}, so they
+    repeat, and both states may hold zeros. Returned as (Gibbs weights, a's
+    probabilities, b's), which no scaling of the weights changes."""
+    n = draw(st.integers(2, 32))
+    gibbs = [Fraction(draw(st.sampled_from((1, 2, 3, 4, 6))), draw(st.sampled_from((1, 2, 3, 5))))
+             for _ in range(n)]
+    rescaled = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    weights = [r * g for r, g in zip(rescaled, gibbs)]
+    counts = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any))
+    return (gibbs, tuple(w / sum(weights) for w in weights),
+            tuple(Fraction(c, sum(counts)) for c in counts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tied_rational_pairs())
+def test_exact_decision_matches_the_fraction_cells(pair):
+    gibbs, p, q = pair
+    for scale in (1, BEYOND_FLOAT):
+        ham = Hamiltonian.from_gibbs_factors([g * scale for g in gibbs])
+        a, b = BlockState(p, ham), BlockState(q, ham)
+        for x, y in ((a, b), (b, a)):
+            result = thermomajorizes(x, y)
+            assert result == compare_cells(thermal_cells(x, y), 0)
+            assert all(type(v) is Fraction for dip in result.violations for v in dip)
+            assert type(result.min_gap) is type(result.max_gap) is float
 
 
 def test_marginal_flag_on_tangent_curves():

@@ -65,18 +65,20 @@ def test_library_code_calls_the_evaluator_not_the_raw_sequence_functions():
 
 
 def test_only_majorization_orders_levels():
-    """The beta order and the cell refinement built on it stay in one module;
-    the others ask it for curves, comparisons or cells, except that the
-    catalyst search orders its composite sides' segments itself, in Fractions,
-    floats or integers."""
+    """The beta order, the scaling of exact data to integers and the cell
+    refinement built on them stay in one module; the others ask it for
+    curves, comparisons or cells, except that the catalyst decisions order
+    their composite sides' segments themselves, in Fractions, floats or
+    integers, all scaled by the one helper."""
     package = pathlib.Path(thermoorder.__file__).parent
     defined = [path.name for path in sorted(package.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.FunctionDef)
-               and node.name in ("beta_segments", "integer_segments", "_beta_order")]
-    assert defined == ["majorization.py"] * 3, defined
-    found = _calls(("beta_segments", "integer_segments"), skip=("majorization.py", "catalysis.py"))
-    found += _calls(("_beta_order",), skip=("majorization.py",))
+               and node.name in ("beta_segments", "integer_segments", "integer_data", "_beta_order")]
+    assert defined == ["majorization.py"] * 4, defined
+    found = _calls(("beta_segments", "integer_segments", "integer_data"),
+                   skip=("majorization.py", "catalysis.py"))
+    found += _calls(("_beta_order", "lcm"), skip=("majorization.py",))
     assert not found, found
 
 
