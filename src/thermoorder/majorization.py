@@ -9,7 +9,9 @@ in beta order. Curves are concave and piecewise linear, so the running
 sums of the two cell masses, the curve gaps at the breakpoints of both
 curves, decide dominance everywhere; plain majorization is the case of a
 trivial Hamiltonian. Exact data is decided on the same cells scaled to
-integers over one denominator. Curves themselves are built only for export.
+integers over one denominator, and so are witnesses, whose float data is
+read there as the rationals it holds. Curves themselves are built only for
+export.
 """
 
 from __future__ import annotations
@@ -68,23 +70,37 @@ def integer_segments(probs, lengths, weights) -> list:
 
 
 def integer_data(gibbs, vectors, reps: int = 1) -> tuple:
-    """Exact Gibbs weights and probability vectors in integers, for
+    """Gibbs weights and probability vectors read exactly, in integers, for
     integer_segments: (lengths, weights, numerators, g, m, top).
 
-    lengths are the Gibbs weights' numerators G over their least common
-    denominator g, each repeated reps times (once per catalyst level, whose
-    Gibbs weight is 1); weights are top / G_i with top = lcm(G); numerators
-    holds each vector's numerators over the one common denominator m of all
-    of them. On these lengths and weights, a cell's length is its true length
-    times g, and the mass of numerators over a denominator D is the true mass
-    times D top.
+    Every entry is read by as_integer_ratio(), which is lossless for floats
+    too, since they are dyadic rationals. lengths are the Gibbs weights'
+    numerators G over their least common denominator g, each repeated reps
+    times (once per catalyst level, whose Gibbs weight is 1); weights are
+    top / G_i with top = lcm(G). Each vector is taken over the sum of its
+    numerators over its own common denominator, which renormalises a float
+    vector exactly, as BlockState.to_exact does, and leaves an exact one as
+    it is, since its sum is that denominator; numerators holds every vector
+    over the one common denominator m of those sums. On these lengths and
+    weights, a cell's length is its true length times g, and the mass of
+    numerators over a denominator D is the true mass times D top.
     """
-    m = math.lcm(*(v.denominator for vector in vectors for v in vector))
-    numerators = [[v.numerator * (m // v.denominator) for v in vector] for vector in vectors]
-    g = math.lcm(*(v.denominator for v in gibbs))
-    lengths = [v.numerator * (g // v.denominator) for v in gibbs for _ in range(reps)]
+    scaled = [_integers(vector)[0] for vector in vectors]
+    totals = [sum(nums) for nums in scaled]
+    m = math.lcm(*totals)
+    numerators = [[v * (m // total) for v in nums] for nums, total in zip(scaled, totals)]
+    nums, g = _integers(gibbs)
+    lengths = [v for v in nums for _ in range(reps)]
     top = math.lcm(*lengths)
     return lengths, [top // v for v in lengths], numerators, g, m, top
+
+
+def _integers(values) -> tuple:
+    """(numerators, d): values read exactly as numerators over their least
+    common denominator d."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*(den for _, den in ratios))
+    return [num * (d // den) for num, den in ratios], d
 
 
 def _beta_order(values, probs) -> list:
@@ -243,6 +259,16 @@ def thermal_cells(a: BlockState, b: BlockState) -> list:
     return refine(*(beta_segments(s.probs, s.ham.gibbs, s.exact) for s in (a, b)))
 
 
+def exact_cells(a: BlockState, b: BlockState) -> tuple:
+    """(cells, units): the common cells of a and b, float entries read as the
+    rationals they are and float vectors renormalised exactly, scaled to
+    integers by integer_data, with the units = (x_unit, mass_unit) their
+    lengths and masses carry. Each is that unit times the length or mass of a
+    cell of thermal_cells(a.to_exact(), b.to_exact()), cut in the same order."""
+    lengths, weights, (pa, pb), g, m, top = integer_data(a.ham.gibbs, (a.probs, b.probs))
+    return refine(*(integer_segments(p, lengths, weights) for p in (pa, pb))), (g, m * top)
+
+
 def thermomajorizes(a: BlockState, b: BlockState, cmp_tol: float = CMP_TOL) -> CurveComparison:
     """Thermal-curve dominance of a over b, read off their common cells
     without building a curve; identical Hamiltonians required. Exact states
@@ -252,9 +278,8 @@ def thermomajorizes(a: BlockState, b: BlockState, cmp_tol: float = CMP_TOL) -> C
         raise ValueError("thermomajorization compares states on one Hamiltonian")
     if not (a.exact and b.exact):
         return compare_cells(thermal_cells(a, b), cmp_tol)
-    lengths, weights, (pa, pb), g, m, top = integer_data(a.ham.gibbs, (a.probs, b.probs))
-    cells = refine(*(integer_segments(p, lengths, weights) for p in (pa, pb)))
-    return compare_cells(cells, 0, (g, m * top))
+    cells, units = exact_cells(a, b)
+    return compare_cells(cells, 0, units)
 
 
 def majorizes(p, q) -> CurveComparison:

@@ -165,6 +165,8 @@ class BlockState:
         Floats convert losslessly as dyadic rationals; since their exact sum
         then differs from 1 by rounding, the probabilities are renormalized
         exactly (a relative adjustment within the construction tolerance).
+        majorization.integer_data reads a float state the same way without
+        making this copy.
         """
         if self.exact:
             return self

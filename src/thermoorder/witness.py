@@ -4,16 +4,15 @@ A transition between block-diagonal states is possible through a thermal
 process exactly when some column-stochastic matrix fixes the Gibbs state and
 maps the initial distribution to the target, that is, when the initial
 thermal curve dominates the target's. Both questions are answered on the
-cells ``thermomajorizes`` reads (``majorization.thermal_cells``), cut here
-from the exact inputs or lossless rational copies of float ones, and read
-with no tolerance. The matrix is built on the same cells by the
-d-majorization construction (Horodecki & Oppenheim, Nat. Commun. 4, 2059
-(2013); Shiraishi, "Two constructive proofs on d-majorization and
-thermo-majorization"): weighted T-transforms between cells and a sum back
-into levels. For exact inputs of up to 12 levels it runs in Fractions and
-is checked by exact equality; for float inputs, and exact inputs above 12
-levels, it runs on the cells rendered once to floats and must pass
-residual bounds.
+integer cells exact ``thermomajorizes`` reads (``majorization.exact_cells``),
+float entries read as the rationals they are, and read with no tolerance.
+The matrix is built on the same cells by the d-majorization construction
+(Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013); Shiraishi, "Two
+constructive proofs on d-majorization and thermo-majorization"): weighted
+T-transforms between cells and a sum back into levels. For exact inputs of
+up to 12 levels it runs on the cells as Fractions and is checked by exact
+equality; for float inputs, and exact inputs above 12 levels, it runs on the
+cells rendered once to floats and must pass residual bounds.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .majorization import compare_cells, thermal_cells
+from .majorization import compare_cells, exact_cells
 from .modes import (
     GIBBS_DRIFT_TOL,
     WITNESS_ENTRY_TOL,
@@ -88,10 +87,8 @@ class StochasticWitness:
                 sum((self.matrix[i][j] * p[j] for j in range(n_cols)), Fraction(0))
                 for i in range(n_rows)
             )
-        return tuple(
-            math.fsum(float(self.matrix[i][j]) * float(p[j]) for j in range(n_cols))
-            for i in range(n_rows)
-        )
+        x = [float(v) for v in p]
+        return tuple(math.fsum(float(v) * x_j for v, x_j in zip(row, x)) for row in self.matrix)
 
     def residuals(self, p, q, gamma) -> dict:
         mp = self.apply(p)
@@ -185,12 +182,13 @@ def _construct(cells, gibbs, n: int):
 def find_witness(p: BlockState, q: BlockState):
     """Gibbs-preserving stochastic matrix with M p = q, or None if none exists.
 
-    Feasibility is read off the exact cells of the inputs, float inputs
-    converted losslessly to rationals (p's curve dominates q's), so no
-    tolerance decides it. The inputs' arithmetic picks the construction:
-    exact inputs of up to EXACT_DIMENSION_LIMIT levels get a matrix built on
-    those cells in Fractions and checked by exact equality; float inputs of
-    any size, and exact inputs above the limit, get one built on the cells
+    Feasibility is read off the exact cells of the inputs (p's curve
+    dominates q's), float entries read losslessly as rationals and float
+    vectors renormalised exactly, so no tolerance decides it and no rational
+    copy is made. The inputs' arithmetic picks the construction: exact
+    inputs of up to EXACT_DIMENSION_LIMIT levels get a matrix built on those
+    cells in Fractions and checked by exact equality; float inputs of any
+    size, and exact inputs above the limit, get one built on the cells
     rendered once to floats, which must pass the residual bounds. Any
     returned witness has been re-validated by direct multiplication.
     """
@@ -209,18 +207,22 @@ def _witness_or_comparison(p: BlockState, q: BlockState) -> tuple:
     if q.probs == gamma:
         rows = tuple(tuple(gamma[i] for _ in range(n)) for i in range(n))
         return StochasticWitness(rows), None
-    cells = thermal_cells(p.to_exact(), q.to_exact())
-    comparison = compare_cells(cells, 0)
+    cells, units = exact_cells(p, q)
+    comparison = compare_cells(cells, 0, units)
     if not comparison.dominates:
         return None, comparison
+    x_unit, mass_unit = units
     if p.exact and q.exact and n <= EXACT_DIMENSION_LIMIT:
-        # Fraction weights, so that int lengths over int weights stay exact
+        cells = [(Fraction(length, x_unit), i, j, Fraction(p_mass, mass_unit), Fraction(q_mass, mass_unit))
+                 for length, i, j, p_mass, q_mass in cells]
+        # Fraction weights, so that lengths over weights stay exact
         witness = StochasticWitness(_construct(cells, [Fraction(g) for g in p.ham.gibbs], n))
         # exact arithmetic, so equality is strict
         if witness.apply(p.probs) != q.probs or witness.apply(gamma) != gamma:
             raise WitnessNumericalError("exact construction produced an invalid witness")
         return witness, None
-    cells = [(float(length), i, j, float(p_mass), float(q_mass))
+    # int over int is correctly rounded, so these are the floats of the exact cells
+    cells = [(length / x_unit, i, j, p_mass / mass_unit, q_mass / mass_unit)
              for length, i, j, p_mass, q_mass in cells]
     witness = StochasticWitness(_construct(cells, [float(g) for g in p.ham.gibbs], n))
     r = witness.residuals(p.probs, q.probs, gamma)

@@ -75,6 +75,20 @@ def gibbs_mixture(state: BlockState, weight: float) -> BlockState:
     return BlockState(probs, state.ham)
 
 
+def count_fraction_calls(monkeypatch) -> list:
+    """The list every later call of a Fraction arithmetic method is appended to."""
+    calls = []
+    for name in ("__float__", "__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        method = getattr(Fraction, name)
+
+        def counting(*args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240911)

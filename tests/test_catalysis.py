@@ -40,7 +40,7 @@ from thermoorder.demo import (
 )
 from thermoorder.modes import CMP_TOL
 
-from conftest import gibbs_mixture, random_distribution, random_state
+from conftest import count_fraction_calls, gibbs_mixture, random_distribution, random_state
 
 mp.mp.dps = 40
 
@@ -543,22 +543,8 @@ def test_three_qubit_product_point_is_compared_once(monkeypatch):
     assert products <= set(compared) <= {probs for _, probs in walked}
 
 
-def _count_fraction_calls(monkeypatch) -> list:
-    """The list every later call of a Fraction arithmetic method is appended to."""
-    calls = []
-    for name in ("__float__", "__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
-        method = getattr(Fraction, name)
-
-        def counting(*args, _method=method, _name=name):
-            calls.append(_name)
-            return _method(*args)
-
-        monkeypatch.setattr(Fraction, name, counting)
-    return calls
-
-
 def test_float_search_does_no_fraction_arithmetic(monkeypatch):
-    calls = _count_fraction_calls(monkeypatch)
+    calls = count_fraction_calls(monkeypatch)
     initial, final = work_extraction_pair(1.0, 0.01, 0.75, 0.006)
     config = SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=100)
     assert search_correlating_catalyst(initial, final, config) is None
@@ -569,7 +555,7 @@ def test_exact_search_does_no_fraction_arithmetic_per_cell(monkeypatch):
     # the Fraction work of an exact search is its set-up (precondition,
     # direct curves, scaling to integers), whatever the number of cells
     initial, final = (s.to_exact() for s in work_extraction_pair(1.0, 0.01, 0.75, 0.006))
-    calls = _count_fraction_calls(monkeypatch)
+    calls = count_fraction_calls(monkeypatch)
     counts = []
     for budget in (50, 100):
         config = SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=budget)
@@ -587,7 +573,7 @@ def test_exact_thermomajorizes_does_no_fraction_arithmetic_per_cell(monkeypatch)
     for n in (8, 32):
         ham = random_rational_gibbs_ham(rng, n)
         pairs.append([BlockState(random_rational_distribution(rng, n), ham) for _ in range(2)])
-    calls = _count_fraction_calls(monkeypatch)
+    calls = count_fraction_calls(monkeypatch)
     counts = []
     for a, b in pairs:
         assert thermomajorizes(a, b).verdict == CROSSING
@@ -599,16 +585,37 @@ def test_exact_thermomajorizes_does_no_fraction_arithmetic_per_cell(monkeypatch)
 @st.composite
 def correlating_pairs(draw):
     """Float 2..4-level pairs that a correlated catalyst can link but the
-    direct curves do not: two random states, the one of higher free energy
-    first."""
+    direct curves do not, the one of higher free energy first.
+
+    Two random states on two levels almost always have comparable curves, so
+    two-level pairs cross by construction. On the normalised axis the less
+    likely level has Gibbs weight w < 1/2. A state with mass x > w there
+    puts it first, so its curve bends at (w, x) and reaches
+    x + (1 - 2w)(1 - x)/(1 - w) at 1 - w. A state with mass y > 1 - w on the
+    other level bends at (1 - w, y) and reaches y w/(1 - w) at w. The curves
+    cross when y lies above the first value and below x (1 - w)/w. More
+    levels take two random states, which cross often enough.
+    """
     n = draw(st.integers(2, 4))
-    ham = Hamiltonian(tuple(draw(st.lists(st.floats(0, 3), min_size=n, max_size=n))))
+    if n == 2:
+        e, gap = draw(st.floats(0, 3)), draw(st.floats(0.1, 3))
+        light = draw(st.integers(0, 1))
+        ham = Hamiltonian((e + gap, e) if light == 0 else (e, e + gap))
+        w = gibbs_state(ham).probs[light]
+        x = w + draw(st.floats(0.05, 0.95)) * (1 - w)
+        low = x + (1 - 2 * w) * (1 - x) / (1 - w)
+        y = low + draw(st.floats(0.05, 0.95)) * (min(1.0, x * (1 - w) / w) - low)
+        pair = [(x, 1 - x), (1 - y, y)]
+        states = [BlockState(probs if light == 0 else probs[::-1], ham) for probs in pair]
+    else:
+        ham = Hamiltonian(tuple(draw(st.lists(st.floats(0, 3), min_size=n, max_size=n))))
 
-    def state():
-        weights = draw(st.lists(st.floats(0.01, 1), min_size=n, max_size=n))
-        return BlockState(tuple(w / sum(weights) for w in weights), ham)
+        def state():
+            weights = draw(st.lists(st.floats(0.01, 1), min_size=n, max_size=n))
+            return BlockState(tuple(w / sum(weights) for w in weights), ham)
 
-    a, b = sorted((state(), state()), key=lambda s: -free_energy_gap(s, ALPHA_1))
+        states = [state(), state()]
+    a, b = sorted(states, key=lambda s: -free_energy_gap(s, ALPHA_1))
     assume(correlating_catalytic_possible(a, b).possible and not thermomajorizes(a, b).dominates)
     return a, b
 

@@ -210,7 +210,7 @@ def test_witness_decides_an_infeasible_pair_once(tmp_path, monkeypatch, capsys, 
     # the comparison that rules the witness out is the one reported
     from thermoorder import cli, majorization
 
-    cut = majorization.thermal_cells
+    cut = majorization.refine
     calls = []
 
     def counted(a, b):
@@ -218,8 +218,8 @@ def test_witness_decides_an_infeasible_pair_once(tmp_path, monkeypatch, capsys, 
         return cut(a, b)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("thermoorder") and getattr(module, "thermal_cells", None) is cut:
-            monkeypatch.setattr(module, "thermal_cells", counted)
+        if name.startswith("thermoorder") and getattr(module, "refine", None) is cut:
+            monkeypatch.setattr(module, "refine", counted)
     a = tmp_path / "a.json"
     save_json({"levels": [0, 0, 0], "probs": ["3/5", "1/4", "3/20"]}, a)
     b = tmp_path / "b.json"

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thermoorder import (
@@ -17,10 +18,12 @@ from thermoorder import (
     thermomajorizes,
 )
 from thermoorder.entropies import nonnegative_alpha_grid
+from thermoorder.majorization import compare_cells, thermal_cells
 from thermoorder.modes import CMP_TOL
-from thermoorder.witness import EXACT_DIMENSION_LIMIT
+from thermoorder.witness import EXACT_DIMENSION_LIMIT, _construct, _witness_or_comparison
 
 from conftest import (
+    count_fraction_calls,
     gibbs_mixture,
     random_distribution,
     random_hamiltonian,
@@ -28,7 +31,7 @@ from conftest import (
     random_rational_gibbs_ham,
     random_state,
 )
-from test_majorization import beta_perm, union_reference
+from test_majorization import BEYOND_FLOAT, beta_perm, union_reference
 
 
 def test_identity_fast_path(rng):
@@ -310,6 +313,79 @@ def test_float_near_tie_is_decided_exactly(empty_levels):
     final = BlockState((0.4, 0.3, 0.2, 0.1) + pad, ham)
     assert find_witness(initial, final) is None
     _assert_valid_float_witness(final, initial)
+
+
+def _witness_on_rational_copies(p, q):
+    """(matrix, None) or (None, comparison) as find_witness once decided and
+    built them: on the Fraction cells of the inputs' to_exact copies, rendered
+    to floats for the float construction."""
+    cells = thermal_cells(p.to_exact(), q.to_exact())
+    comparison = compare_cells(cells, 0)
+    if not comparison.dominates:
+        return None, comparison
+    if p.exact and q.exact and len(p) <= EXACT_DIMENSION_LIMIT:
+        gibbs = [Fraction(g) for g in p.ham.gibbs]
+    else:
+        cells = [(float(length), i, j, float(a), float(b)) for length, i, j, a, b in cells]
+        gibbs = [float(g) for g in p.ham.gibbs]
+    return StochasticWitness(_construct(cells, gibbs, len(p))).matrix, None
+
+
+@st.composite
+def arithmetic_pairs(draw):
+    """Pairs of 2..24 levels in every arithmetic: float, exact, Fraction
+    probabilities on a float Hamiltonian, and a float target next to an exact
+    initial state. Gibbs weights come from a small set, so levels tie, and
+    exact ones may be scaled beyond the float range; both states may hold
+    zeros. Half the targets mix the initial state with the Gibbs state, so
+    both verdicts occur."""
+    n = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(("float", "exact", "mixed", "half")))
+    factors = [Fraction(draw(st.sampled_from((1, 2, 3, 4, 6))), draw(st.sampled_from((1, 2, 3, 5))))
+               for _ in range(n)]
+    if kind in ("exact", "half"):
+        scale = draw(st.sampled_from((1, BEYOND_FLOAT)))
+        ham = Hamiltonian.from_gibbs_factors([scale * f for f in factors])
+    else:
+        ham = Hamiltonian(tuple(-math.log(f) for f in factors))
+
+    def distribution():
+        counts = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any))
+        if kind == "float":
+            return tuple(c / sum(counts) for c in counts)
+        return tuple(Fraction(c, sum(counts)) for c in counts)
+
+    p = distribution()
+    if draw(st.booleans()):
+        q = distribution()
+    else:
+        t = Fraction(draw(st.integers(1, 7)), 8)
+        weights = [Fraction(g) for g in ham.gibbs]
+        q = tuple((1 - t) * a + t * g / sum(weights) for a, g in zip(p, weights))
+        if kind == "float":
+            q = tuple(map(float, q))
+    if kind == "half":
+        q = tuple(map(float, q))
+    return BlockState(p, ham), BlockState(q, ham)
+
+
+@settings(max_examples=120, deadline=None)
+@given(arithmetic_pairs())
+def test_witness_on_integer_cells_matches_the_rational_copies(pair):
+    p, q = pair
+    assume(p.probs != q.probs and q.probs != gibbs_state(p.ham).probs)
+    witness, comparison = _witness_or_comparison(p, q)
+    got = (None if witness is None else witness.matrix, comparison)
+    # repr tells 1 from 1.0 and Fraction(1, 1), so this compares types too
+    assert repr(got) == repr(_witness_on_rational_copies(p, q))
+
+
+def test_float_witness_does_no_fraction_arithmetic(monkeypatch, rng):
+    a = random_state(rng, 16)
+    b = gibbs_mixture(a, 0.3)
+    calls = count_fraction_calls(monkeypatch)
+    assert find_witness(a, b) is not None
+    assert calls == []
 
 
 def test_witness_requires_common_hamiltonian():
