@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from .entropies import (ALPHA_0, ALPHA_1, ALPHA_INF, _correlation, _divergences, _entropies,
                         delta_f_sweep, free_energy_gap)
-from .majorization import (CurveComparison, beta_segments, compare_cells, integer_data,
-                           integer_segments, refine, thermomajorizes)
-from .modes import CMP_TOL, POSSIBLE_TOL, SPECTRUM_TOL, is_exact_number, to_fraction
+from .majorization import (CurveComparison, compare_partitions, dominates, integer_data, partition,
+                           thermomajorizes)
+from .modes import POSSIBLE_TOL, SPECTRUM_TOL, is_exact_number, to_fraction
 from .states import BlockState, JointCatalyst, gibbs_state, product_joint, validate_distribution
 
 PLAIN = "plain"
@@ -123,35 +123,24 @@ def _products(probs, factors) -> list:
     return probs
 
 
-def _segments(s: BlockState, factors, gibbs, exact: bool) -> list:
-    """Beta-ordered segments of s next to catalysts with the given probabilities;
-    gibbs repeats each of s's weights once per catalyst level (catalyst
-    weights are all 1)."""
-    return beta_segments(_products(s.probs, factors), gibbs, exact)
-
-
 def verify_correlating_transition(a: BlockState, b: BlockState,
                                   joint: JointCatalyst) -> CurveComparison:
     """Thermal-curve dominance of a next to the uncorrelated catalysts over
     b next to the correlated joint; local catalyst states match by
     construction. No composite state is built.
 
-    Exact data is decided on integer cells: with every vector's numerators
-    over one denominator m, a's side is over m^(k+1) for k marginals and b's
+    Every vector is read exactly, with its numerators over one denominator m
+    (see integer_data): a's side is then over m^(k+1) for k marginals and b's
     over m^2, so b's side is scaled by m^(k-1)."""
     if a.ham != b.ham:
         raise ValueError("thermomajorization compares states on one Hamiltonian")
     marginals = [c.probs for c in joint.marginals()]
-    if a.exact and b.exact and joint.exact:
-        lengths, weights, (pa, pb, pj, *pm), g, m, top = integer_data(
-            a.ham.gibbs, (a.probs, b.probs, joint.probs, *marginals), len(joint))
-        initial = integer_segments(_products(pa, pm), lengths, weights)
-        final = integer_segments(_products(pb, [pj, [m ** (len(pm) - 1)]]), lengths, weights)
-        return compare_cells(refine(initial, final), 0, (g, m ** (len(pm) + 1) * top))
-    gibbs = [g for g in a.ham.gibbs for _ in joint.probs]
-    initial = _segments(a, marginals, gibbs, a.exact and joint.exact)
-    final = _segments(b, [joint.probs], gibbs, b.exact and joint.exact)
-    return compare_cells(refine(initial, final), CMP_TOL)
+    lengths, (pa, pb, pj, *pm), g, m = integer_data(
+        a.ham.gibbs, (a.probs, b.probs, joint.probs, *marginals))
+    lengths = [v for v in lengths for _ in pj]
+    initial = partition(_products(pa, pm), lengths)
+    final = partition(_products(pb, [pj, [m ** (len(pm) - 1)]]), lengths)
+    return compare_partitions(initial, final, g)
 
 
 @dataclass(frozen=True)
@@ -255,16 +244,6 @@ def _lattice(k: int, config: SearchConfig):
     return n, n ** k * scale, walk()
 
 
-def _cells(k: int, config: SearchConfig):
-    """The cells of ``_lattice`` as Fractions: (marginal distributions,
-    lambda, joint probabilities) per cell."""
-    n, d, walk = _lattice(k, config)
-    for xs, _, cells in walk:
-        margs = tuple((Fraction(x, n), Fraction(n - x, n)) for x in xs)
-        for lam, joint in cells:
-            yield margs, Fraction(lam, d), tuple(Fraction(v, d) for v in joint)
-
-
 def search_correlating_catalyst(a: BlockState, b: BlockState,
                                 config: SearchConfig | None = None):
     """First grid joint certifying the correlating transition, or None.
@@ -286,41 +265,23 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
     # correlations above the free-energy gap can never certify (the gap caps
     # the total correlation), so such cells are skipped without curve work
     budget_i = free_energy_gap(a, ALPHA_1) - free_energy_gap(b, ALPHA_1)
-    tol, units = (0 if a.exact and b.exact else CMP_TOL), None
-    # Fraction entries take Fraction cells (unless exact integer cells decide,
-    # below), so p * c is rounded once, as the composite state rounds it; float
-    # states (ints are only 0 or 1 here) multiply by the float copies and
-    # never touch a Fraction
-    a_rational, b_rational = (s.exact or any(isinstance(p, Fraction) for p in s.probs)
-                              for s in (a, b))
+    lengths, (a_nums, b_nums), _, _ = integer_data(a.ham.gibbs, (a.probs, b.probs))
     cells = compared = 0
     for dims in config.dims:
-        # the cells of verify_correlating_transition, with a's side and the
-        # marginal entropies built once per marginal tuple. Entropies read the
-        # float copies v / d of the integer cells, and so do a float state's
-        # segments: float * Fraction is float * float(Fraction), and
-        # float(Fraction(v, d)) is v / d (both correctly rounded), so these
-        # are the bits Fraction cells would give. Exact states decide every
-        # cell in integers over one denominator: each segment's probability is
-        # scaled by m d and its Gibbs weight by one constant, so the order is
-        # beta_segments' own and every cell mass is the true one times
-        # m d lcm(G). Only the returned cell goes back to Fractions, checked
-        # by verify_correlating_transition.
+        # the sides of verify_correlating_transition in integers, for float,
+        # exact and mixed states alike, with a's side and the marginal
+        # entropies built once per marginal tuple. Both states are read over
+        # one denominator m and every cell is integers over d, so each side's
+        # masses are over m d and the walk reads a cell's verdict from their
+        # signs alone. Entropies read the float copies v / d of the cells.
+        # Only the certifying cell goes back to Fractions, and
+        # verify_correlating_transition checks it.
         reps = 2 ** len(dims)
-        gibbs = [g for g in a.ham.gibbs for _ in range(reps)]
+        levels = [v for v in lengths for _ in range(reps)]
         n, d, walk = _lattice(len(dims), config)
-        integer = a.exact and b.exact
-        if integer:
-            lengths, weights, (a_nums, b_nums), g, m, top = integer_data(
-                a.ham.gibbs, (a.probs, b.probs), reps)
-            units = (g, m * d * top)
         for xs, base, tuple_cells in walk:
             margs = [(x / n, (n - x) / n) for x in xs]
-            if integer:
-                initial = integer_segments([p * v for p in a_nums for v in base], lengths, weights)
-            else:
-                factors = [(Fraction(x, n), Fraction(n - x, n)) for x in xs] if a_rational else margs
-                initial = _segments(a, factors, gibbs, a.exact)
+            initial = partition([p * v for p in a_nums for v in base], levels)
             parts = math.fsum(_entropies(m, [ALPHA_1])[0] for m in margs)
             product_seen = False
             for lam, joint in tuple_cells:
@@ -332,25 +293,16 @@ def search_correlating_catalyst(a: BlockState, b: BlockState,
                     if product_seen:
                         continue
                     product_seen = True
-                probs = [v / d for v in joint]
-                info = _correlation(parts, probs)
+                info = _correlation(parts, [v / d for v in joint])
                 if info > budget_i + POSSIBLE_TOL:
                     continue
                 compared += 1
-                if integer:
-                    final = integer_segments([p * v for p in b_nums for v in joint], lengths, weights)
-                else:
-                    if b_rational:
-                        probs = [Fraction(v, d) for v in joint]
-                    final = _segments(b, [probs], gibbs, b.exact)
-                comparison = compare_cells(refine(initial, final), tol, units)
-                if comparison.dominates:
+                if dominates(initial, partition([p * v for p in b_nums for v in joint], levels)):
                     catalyst = JointCatalyst(tuple(Fraction(v, d) for v in joint), dims)
-                    if integer:
-                        comparison = verify_correlating_transition(a, b, catalyst)
-                        if not comparison.dominates:
-                            raise RuntimeError(f"the integer cell walk certified {catalyst!r}, "
-                                               "which the exact verification rejects")
+                    comparison = verify_correlating_transition(a, b, catalyst)
+                    if not comparison.dominates:
+                        raise RuntimeError(f"the exact walk certified {catalyst!r}, "
+                                           "which the exact verification rejects")
                     return SearchResult(catalyst, comparison, info, cells, compared)
     return None
 

@@ -10,7 +10,8 @@ prints the report and writes it to --report.
 The numeric mode defaults to THERMO_ORDER_MODE ({float|rational}) and can
 be overridden per invocation with --numeric-mode. ``main`` resolves it once
 into ``args.exact`` (load files as rationals) and ``args.cmp_tol`` (0 in
-rational mode).
+rational mode), the slack of the free-energy comparisons; curve verdicts
+are exact in both modes.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def cmd_check(args, report: RunReport, out) -> int:
     alphas = _parse_alphas(args.alphas) if args.alphas else None
     tol = max(args.cmp_tol, FREE_ENERGY_FLOOR)
     if args.mode == "plain":
-        cmp_result = thermomajorizes(a, b, args.cmp_tol)
+        cmp_result = thermomajorizes(a, b)
         possible = cmp_result.dominates
         report.verdicts["curve"] = cmp_result.verdict
         report.verdicts["marginal"] = cmp_result.marginal
@@ -241,7 +242,7 @@ def cmd_witness(args, report: RunReport, out) -> int:
     b = _load(args.final, args.exact)
     witness, cmp_result = _witness_or_comparison(a, b)
     if witness is None:
-        # the exact comparison that decided; floats can tie where it does not
+        # the comparison that decided, as check reports it
         report.verdicts["feasible"] = False
         report.verdicts["curve"] = cmp_result.verdict
         if cmp_result.violations:
@@ -395,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS,
                         help="numeric regime; defaults to $THERMO_ORDER_MODE or float")
     common.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS,
-                        help="curve-comparison tolerance in float mode, finite and "
+                        help="free-energy comparison slack in float mode, finite and "
                              f">= 0 (default {CMP_TOL}); free energies use "
-                             f"max(tol, {FREE_ENERGY_FLOOR})")
+                             f"max(tol, {FREE_ENERGY_FLOOR}), curve verdicts are exact")
     common.add_argument("--report", default=argparse.SUPPRESS,
                         help="write the run report as JSON")
 

@@ -3,27 +3,29 @@
 A thermal Lorenz curve plots cumulative beta-ordered probability against
 cumulative Gibbs weight; one state can reach another through a
 Gibbs-preserving stochastic map exactly when its curve lies everywhere on
-or above the target's. Every dominance question is decided on the common
-cells of two states' partitions of [0, Z], each its levels' Gibbs weights
-in beta order. Curves are concave and piecewise linear, so the running
-sums of the two cell masses, the curve gaps at the breakpoints of both
-curves, decide dominance everywhere; plain majorization is the case of a
-trivial Hamiltonian. Exact data is decided on the same cells scaled to
-integers over one denominator, and so are witnesses, whose float data is
-read there as the rationals it holds. Curves themselves are built only for
-export.
+or above the target's. Curves are concave and piecewise linear, so the gaps
+at the breakpoints of both curves decide dominance everywhere; plain
+majorization is the case of a trivial Hamiltonian.
+
+Every dominance question, on float, exact or mixed data, is decided by one
+exact walk over those breakpoints. Entries are read by as_integer_ratio(),
+which is lossless for floats too, since they are dyadic rationals, and each
+gap's sign is one integer cross-multiplication, so no tolerance decides a
+verdict. Witnesses are built on integer cells of the same reading. Curves
+themselves are built only for export.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, groupby
 
 from .entropies import format_number
-from .modes import CMP_TOL, TIE_TOL
 from .states import BlockState, Hamiltonian
 
 ABOVE = "above"
@@ -32,81 +34,164 @@ CROSSING = "crossing"
 EQUAL = "equal"
 
 
-def beta_segments(probs, gibbs, exact: bool) -> list:
-    """A state's partition of [0, Z] from raw data: segments (g_i, p_i/g_i, i)
-    in beta order, by decreasing Gibbs-rescaled probability p_i/g_i; exact
-    is the state's flag.
+def integer_data(gibbs, vectors) -> tuple:
+    """Gibbs weights and probability vectors read exactly, in integers:
+    (lengths, numerators, g, m).
 
-    Ties break toward the larger probability, then the smaller original
-    index; the curve itself does not depend on the resolution, but exports
-    do, so the rule is pinned.
+    lengths are the Gibbs weights' numerators over one common denominator
+    g. Each vector is taken over the sum of its numerators over a common
+    denominator, which renormalises a float vector exactly, as
+    BlockState.to_exact does, and leaves an exact one as it is, since its
+    sum is that denominator; numerators holds every vector over the one
+    common denominator m of those sums.
     """
-    # Fraction(p, g) keeps two ints exact, where p / g would give a float
-    ratios = [Fraction(p, g) if exact else p / g for p, g in zip(probs, gibbs)]
-    idx = _beta_order(ratios, probs)
-    if not exact:
-        # chain-group nearly equal rescaled values, then re-break by (p, index)
-        groups = []
-        for i in idx:
-            if groups and float(ratios[groups[-1][-1]]) - float(ratios[i]) <= TIE_TOL:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        idx = [i for grp in groups for i in sorted(grp, key=lambda i: (-probs[i], i))]
-    return [(gibbs[i], ratios[i], i) for i in idx]
-
-
-def integer_segments(probs, lengths, weights) -> list:
-    """beta_segments of exact data scaled to integers: probs are the
-    probabilities' numerators over one denominator, lengths the Gibbs weights'
-    numerators over another, and weights[i] = lcm(lengths) / lengths[i].
-
-    The density probs[i] * weights[i] is p_i/g_i times one positive constant
-    and probs[i] is p_i times another, so the order is beta_segments' own, and
-    every cell mass is an integer: the true mass times one constant.
-    """
-    values = [p * w for p, w in zip(probs, weights)]
-    return [(lengths[i], values[i], i) for i in _beta_order(values, probs)]
-
-
-def integer_data(gibbs, vectors, reps: int = 1) -> tuple:
-    """Gibbs weights and probability vectors read exactly, in integers, for
-    integer_segments: (lengths, weights, numerators, g, m, top).
-
-    Every entry is read by as_integer_ratio(), which is lossless for floats
-    too, since they are dyadic rationals. lengths are the Gibbs weights'
-    numerators G over their least common denominator g, each repeated reps
-    times (once per catalyst level, whose Gibbs weight is 1); weights are
-    top / G_i with top = lcm(G). Each vector is taken over the sum of its
-    numerators over its own common denominator, which renormalises a float
-    vector exactly, as BlockState.to_exact does, and leaves an exact one as
-    it is, since its sum is that denominator; numerators holds every vector
-    over the one common denominator m of those sums. On these lengths and
-    weights, a cell's length is its true length times g, and the mass of
-    numerators over a denominator D is the true mass times D top.
-    """
-    scaled = [_integers(vector)[0] for vector in vectors]
+    flat, _ = _integers([v for vector in vectors for v in vector])
+    ends = list(accumulate(map(len, vectors)))
+    scaled = [flat[end - len(vector):end] for end, vector in zip(ends, vectors)]
     totals = [sum(nums) for nums in scaled]
     m = math.lcm(*totals)
     numerators = [[v * (m // total) for v in nums] for nums, total in zip(scaled, totals)]
-    nums, g = _integers(gibbs)
-    lengths = [v for v in nums for _ in range(reps)]
-    top = math.lcm(*lengths)
-    return lengths, [top // v for v in lengths], numerators, g, m, top
+    lengths, g = _integers(gibbs)
+    return lengths, numerators, g, m
 
 
 def _integers(values) -> tuple:
-    """(numerators, d): values read exactly as numerators over their least
-    common denominator d."""
+    """(numerators, d): values read exactly as numerators over one common
+    denominator d."""
+    if all(type(v) is float for v in values):
+        # a float is an integer times a power of two, so scaling by the power
+        # that clears the finest one is exact, unless it overflows
+        k = max(0, 53 - math.frexp(min(filter(None, values), default=1.0))[1])
+        try:
+            scale = 2.0 ** k
+            return [int(v * scale) for v in values], 1 << k
+        except OverflowError:
+            pass
     ratios = [v.as_integer_ratio() for v in values]
-    d = math.lcm(*(den for _, den in ratios))
+    d = math.lcm(*[den for _, den in ratios])
     return [num * (d // den) for num, den in ratios], d
 
 
-def _beta_order(values, probs) -> list:
-    """Indices by decreasing rescaled value; ties break toward the larger
-    probability, then the smaller original index."""
-    return sorted(range(len(values)), key=lambda i: (-values[i], -probs[i], i))
+def beta_order(nums, lengths) -> list:
+    """Level indices in beta order: by decreasing density nums[i]/lengths[i],
+    ties toward the larger nums[i], then the smaller index.
+
+    nums and lengths are exact (ints, say a state's probability and Gibbs
+    numerators); the curve does not depend on how ties resolve, but exports
+    do, so the rule is pinned. The sort runs on float keys: an int over an
+    int is rounded once, correctly, so the keys are monotone in the density
+    and only runs of equal keys need an exact look.
+    """
+    try:
+        keys = [p / v for p, v in zip(nums, lengths)]
+    except OverflowError:  # densities beyond the float range: one run, ordered exactly
+        keys = [0] * len(nums)
+    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    if len(set(keys)) == len(keys):
+        return order
+    exact = []
+    for _, run in groupby(order, keys.__getitem__):
+        run = list(run)
+        if len(run) > 1:
+            top = math.lcm(*[lengths[i] for i in run])
+            run.sort(key=lambda i: (-nums[i] * (top // lengths[i]), -nums[i], i))
+        exact += run
+    return exact
+
+
+def partition(nums, lengths) -> tuple:
+    """A side's partition of [0, Z] in beta order, as (lengths, masses): the
+    walk's input. Both sides of one walk carry their masses over one
+    denominator and their lengths over another."""
+    order = beta_order(nums, lengths)
+    return [lengths[i] for i in order], [nums[i] for i in order]
+
+
+def _gaps(a, b):
+    """(x, d, length) at every interior breakpoint of either curve, left to
+    right, for two partitions a and b of one interval: the gap of a's curve
+    over b's there is d / (M length), M being the masses' denominator.
+
+    At a breakpoint of one curve, the other curve's height is read on its
+    segment (length G, mass P) that holds x, whose right end (X, Y) lies at
+    or past x: (Y G - (X - x) P) / (M G), so the gap's numerator over M G is
+    one integer expression; at a breakpoint of both, G is 1.
+    """
+    (la, ma), (lb, mb) = a, b
+    last_a, last_b = len(la) - 1, len(lb) - 1
+    i = j = 0
+    xa, xb, ya, yb = la[0], lb[0], ma[0], mb[0]  # the current segments' right ends
+    while i < last_a or j < last_b:
+        if xa < xb:
+            yield xa, (ya - yb) * lb[j] + (xb - xa) * mb[j], lb[j]
+            i += 1
+            xa += la[i]
+            ya += ma[i]
+        elif xb < xa:
+            yield xb, (ya - yb) * la[i] - (xa - xb) * ma[i], la[i]
+            j += 1
+            xb += lb[j]
+            yb += mb[j]
+        else:
+            yield xa, ya - yb, 1
+            i += 1
+            j += 1
+            xa += la[i]
+            ya += ma[i]
+            xb += lb[j]
+            yb += mb[j]
+
+
+def dominates(a, b) -> bool:
+    """Whether partition a's curve lies on or above b's, stopping at the
+    first dip: the walk's verdict without a comparison."""
+    return all(d >= 0 for _, d, _ in _gaps(a, b))
+
+
+class _Dips(Sequence):
+    """A comparison's violations as (x, gap) Fractions, built on first read:
+    deciding needs only the gaps' signs, and most readers take the first."""
+
+    def __init__(self, dips, x_unit, mass_unit):
+        self._dips, self._units = dips, (x_unit, mass_unit)
+
+    @cached_property
+    def _items(self) -> tuple:
+        x_unit, mass_unit = self._units
+        return tuple((Fraction(x, x_unit), Fraction(-d, mass_unit * length)) for x, d, length in self._dips)
+
+    def __getitem__(self, k):
+        return self._items[k]
+
+    def __len__(self) -> int:
+        return len(self._dips)
+
+    def __eq__(self, other) -> bool:
+        return self._items == (other._items if isinstance(other, _Dips) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __repr__(self) -> str:
+        return repr(self._items)
+
+
+def compare_partitions(a, b, x_unit) -> CurveComparison:
+    """Dominance of partition a's curve over b's, from the exact walk; x_unit
+    is the denominator of the lengths. The extreme gaps are rounded once,
+    from the exact values."""
+    gaps = list(_gaps(a, b))
+    if not gaps:
+        return CurveComparison(EQUAL, (), False, 0.0, 0.0)
+    mass_unit = sum(a[1])
+    dips = [gap for gap in gaps if gap[1] < 0]
+    rises = any(d > 0 for _, d, _ in gaps)
+    verdict = CROSSING if dips and rises else BELOW if dips else ABOVE if rises else EQUAL
+    # an int over an int is correctly rounded, and rounding is monotone
+    values = [d / (mass_unit * length) for _, d, length in gaps]
+    min_gap, max_gap = min(values), max(values)
+    return CurveComparison(verdict, _Dips(dips, x_unit, mass_unit) if dips else (),
+                           verdict == ABOVE and min_gap <= 0, min_gap, max_gap)
 
 
 @dataclass(frozen=True)
@@ -148,7 +233,8 @@ def thermal_lorenz(s: BlockState) -> LorenzCurve:
 
     Zero-probability levels land at the end as flat segments, keeping the
     full partition-function extent."""
-    perm = [i for *_, i in beta_segments(s.probs, s.ham.gibbs, s.exact)]
+    lengths, (nums,), _, _ = integer_data(s.ham.gibbs, (s.probs,))
+    perm = beta_order(nums, lengths)
     if s.exact:
         xs = accumulate((s.ham.gibbs[i] for i in perm), initial=Fraction(0))
         ys = accumulate((s.probs[i] for i in perm), initial=Fraction(0))
@@ -174,11 +260,11 @@ class CurveComparison:
     ``violations`` lists breakpoints of either curve where the candidate-above
     curve dips below the other one (x, positive gap). ``min_gap``/``max_gap``
     are the extreme signed differences over interior breakpoints; ``marginal``
-    flags an Above verdict that touches tangency within tolerance.
+    flags an Above verdict that touches the other curve.
     """
 
     verdict: str
-    violations: tuple
+    violations: Sequence
     marginal: bool = False
     min_gap: float = math.nan
     max_gap: float = math.nan
@@ -201,9 +287,7 @@ def refine(a, b) -> list:
     """Common cells, left to right, of two ordered partitions of one interval.
 
     A partition is a non-empty list of segments (length, density, label), a
-    cell is (length, a's label, b's label, a's mass, b's mass). The last
-    segment of each runs to the common end, which float partitions can sum
-    to differently in the last bits; the last cell takes what remains of a's.
+    cell is (length, a's label, b's label, a's mass, b's mass).
     """
     last_a, last_b = len(a) - 1, len(b) - 1
     i = j = 0
@@ -225,61 +309,27 @@ def refine(a, b) -> list:
     return cells
 
 
-def compare_cells(cells, tol, units=None) -> CurveComparison:
-    """Dominance of a over b from the gaps at the interior cell boundaries,
-    the running sums of a's minus b's cell mass, under slack tol (0 if exact).
-
-    Integer cells (see integer_data) come with units = (x_unit, mass_unit),
-    the factors their lengths and masses carry: violations are then read as
-    Fraction(x, x_unit) and Fraction(gap, mass_unit), the extreme gaps as
-    g / mass_unit, which is float(Fraction(g, mass_unit)) and never
-    overflows, since a gap is at most one side's total mass.
-    """
-    gaps = list(accumulate(mass_a - mass_b for *_, mass_a, mass_b in cells[:-1]))
-    if not gaps:
-        return CurveComparison(EQUAL, (), False, 0.0, 0.0)
-    x_unit, mass_unit = units or (None, None)
-    dips = ()
-    if any(d < -tol for d in gaps):
-        xs = accumulate(length for length, *_ in cells)
-        dips = tuple((x, -d) if units is None else (Fraction(x, x_unit), Fraction(-d, mass_unit))
-                     for x, d in zip(xs, gaps) if d < -tol)
-    has_pos = any(d > tol for d in gaps)
-    verdict = CROSSING if dips and has_pos else BELOW if dips else ABOVE if has_pos else EQUAL
-    if units is None:
-        min_gap, max_gap = float(min(gaps)), float(max(gaps))
-    else:
-        min_gap, max_gap = min(gaps) / mass_unit, max(gaps) / mass_unit
-    marginal = verdict == ABOVE and min_gap <= float(tol)
-    return CurveComparison(verdict, dips, marginal, min_gap, max_gap)
-
-
-def thermal_cells(a: BlockState, b: BlockState) -> list:
-    """Common cells of the beta-ordered partitions of [0, Z] of a and b by level."""
-    return refine(*(beta_segments(s.probs, s.ham.gibbs, s.exact) for s in (a, b)))
-
-
 def exact_cells(a: BlockState, b: BlockState) -> tuple:
-    """(cells, units): the common cells of a and b, float entries read as the
-    rationals they are and float vectors renormalised exactly, scaled to
-    integers by integer_data, with the units = (x_unit, mass_unit) their
-    lengths and masses carry. Each is that unit times the length or mass of a
-    cell of thermal_cells(a.to_exact(), b.to_exact()), cut in the same order."""
-    lengths, weights, (pa, pb), g, m, top = integer_data(a.ham.gibbs, (a.probs, b.probs))
-    return refine(*(integer_segments(p, lengths, weights) for p in (pa, pb))), (g, m * top)
+    """(cells, units): the common cells of a and b for the witness
+    construction, read by integer_data and scaled to integers, with the units
+    = (x_unit, mass_unit) their lengths and masses carry. A level's density
+    is its numerator times top / G_i with top = lcm(G), so every cell mass is
+    an integer; each is that unit times the length or mass of a cell of the
+    inputs' exact copies, cut in the same order."""
+    lengths, numerators, g, m = integer_data(a.ham.gibbs, (a.probs, b.probs))
+    top = math.lcm(*lengths)
+    sides = ([(lengths[i], nums[i] * (top // lengths[i]), i) for i in beta_order(nums, lengths)]
+             for nums in numerators)
+    return refine(*sides), (g, m * top)
 
 
-def thermomajorizes(a: BlockState, b: BlockState, cmp_tol: float = CMP_TOL) -> CurveComparison:
-    """Thermal-curve dominance of a over b, read off their common cells
-    without building a curve; identical Hamiltonians required. Exact states
-    are decided on integer cells, with the result compare_cells would give
-    on their Fraction cells."""
+def thermomajorizes(a: BlockState, b: BlockState) -> CurveComparison:
+    """Thermal-curve dominance of a over b, decided exactly for float, exact
+    and mixed data alike; identical Hamiltonians required."""
     if a.ham != b.ham:
         raise ValueError("thermomajorization compares states on one Hamiltonian")
-    if not (a.exact and b.exact):
-        return compare_cells(thermal_cells(a, b), cmp_tol)
-    cells, units = exact_cells(a, b)
-    return compare_cells(cells, 0, units)
+    lengths, (pa, pb), g, _ = integer_data(a.ham.gibbs, (a.probs, b.probs))
+    return compare_partitions(partition(pa, lengths), partition(pb, lengths), g)
 
 
 def majorizes(p, q) -> CurveComparison:

@@ -3,10 +3,10 @@
 A transition between block-diagonal states is possible through a thermal
 process exactly when some column-stochastic matrix fixes the Gibbs state and
 maps the initial distribution to the target, that is, when the initial
-thermal curve dominates the target's. Both questions are answered on the
-integer cells exact ``thermomajorizes`` reads (``majorization.exact_cells``),
-float entries read as the rationals they are, and read with no tolerance.
-The matrix is built on the same cells by the d-majorization construction
+thermal curve dominates the target's. Feasibility is the exact
+``thermomajorizes`` verdict, float entries read as the rationals they are,
+with no tolerance. The matrix is built on integer cells of the same reading
+(``majorization.exact_cells``) by the d-majorization construction
 (Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013); Shiraishi, "Two
 constructive proofs on d-majorization and thermo-majorization"): weighted
 T-transforms between cells and a sum back into levels. For exact inputs of
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .majorization import compare_cells, exact_cells
+from .majorization import exact_cells, thermomajorizes
 from .modes import (
     GIBBS_DRIFT_TOL,
     WITNESS_ENTRY_TOL,
@@ -182,12 +182,12 @@ def _construct(cells, gibbs, n: int):
 def find_witness(p: BlockState, q: BlockState):
     """Gibbs-preserving stochastic matrix with M p = q, or None if none exists.
 
-    Feasibility is read off the exact cells of the inputs (p's curve
-    dominates q's), float entries read losslessly as rationals and float
-    vectors renormalised exactly, so no tolerance decides it and no rational
-    copy is made. The inputs' arithmetic picks the construction: exact
-    inputs of up to EXACT_DIMENSION_LIMIT levels get a matrix built on those
-    cells in Fractions and checked by exact equality; float inputs of any
+    Feasibility is the exact thermomajorizes verdict (p's curve dominates
+    q's), float entries read losslessly as rationals and float vectors
+    renormalised exactly, so no tolerance decides it and no rational copy is
+    made. The inputs' arithmetic picks the construction, on the exact cells:
+    exact inputs of up to EXACT_DIMENSION_LIMIT levels get a matrix built on
+    them in Fractions and checked by exact equality; float inputs of any
     size, and exact inputs above the limit, get one built on the cells
     rendered once to floats, which must pass the residual bounds. Any
     returned witness has been re-validated by direct multiplication.
@@ -196,7 +196,7 @@ def find_witness(p: BlockState, q: BlockState):
 
 
 def _witness_or_comparison(p: BlockState, q: BlockState) -> tuple:
-    """(witness, None) as find_witness builds it, or (None, the exact cells'
+    """(witness, None) as find_witness builds it, or (None, the exact
     comparison that rules one out), for callers that report why."""
     if p.ham != q.ham:
         raise ValueError("witness search needs both states on the same Hamiltonian")
@@ -207,11 +207,10 @@ def _witness_or_comparison(p: BlockState, q: BlockState) -> tuple:
     if q.probs == gamma:
         rows = tuple(tuple(gamma[i] for _ in range(n)) for i in range(n))
         return StochasticWitness(rows), None
-    cells, units = exact_cells(p, q)
-    comparison = compare_cells(cells, 0, units)
+    comparison = thermomajorizes(p, q)
     if not comparison.dominates:
         return None, comparison
-    x_unit, mass_unit = units
+    cells, (x_unit, mass_unit) = exact_cells(p, q)
     if p.exact and q.exact and n <= EXACT_DIMENSION_LIMIT:
         cells = [(Fraction(length, x_unit), i, j, Fraction(p_mass, mass_unit), Fraction(q_mass, mass_unit))
                  for length, i, j, p_mass, q_mass in cells]

@@ -92,3 +92,63 @@ def count_fraction_calls(monkeypatch) -> list:
 @pytest.fixture
 def rng():
     return random.Random(20240911)
+
+
+# -- the Fraction-cell oracle --------------------------------------------------
+# An independent reference for the dominance decision: both states'
+# beta-ordered partitions of [0, Z] cut into common cells in Fractions, and
+# the running sums of the two cell masses read at the interior cell
+# boundaries. Float states are read through their to_exact copies, so this
+# is the exact answer for every arithmetic.
+
+def fraction_segments(s: BlockState) -> list:
+    """(g_i, p_i/g_i, i) of an exact state in beta order: by decreasing
+    rescaled probability, ties toward the larger probability, then the
+    smaller index."""
+    ratios = [Fraction(p) / Fraction(g) for p, g in zip(s.probs, s.ham.gibbs)]
+    order = sorted(range(len(s)), key=lambda i: (-ratios[i], -Fraction(s.probs[i]), i))
+    return [(Fraction(s.ham.gibbs[i]), ratios[i], i) for i in order]
+
+
+def fraction_cells(a: BlockState, b: BlockState) -> list:
+    """Common cells (length, a's level, b's level, a's mass, b's mass) of the
+    exact copies of a and b, left to right."""
+    cells, sa, sb = [], fraction_segments(a.to_exact()), fraction_segments(b.to_exact())
+    i = j = 0
+    (a_left, da, la), (b_left, db, lb) = sa[0], sb[0]
+    while i < len(sa) - 1 or j < len(sb) - 1:
+        length = a_left if j == len(sb) - 1 or i < len(sa) - 1 and a_left < b_left else b_left
+        cells.append((length, la, lb, length * da, length * db))
+        a_left -= length
+        b_left -= length
+        if not a_left and i < len(sa) - 1:
+            i += 1
+            a_left, da, la = sa[i]
+        if not b_left and j < len(sb) - 1:
+            j += 1
+            b_left, db, lb = sb[j]
+    cells.append((a_left, la, lb, a_left * da, a_left * db))
+    return cells
+
+
+def fraction_comparison(cells):
+    """The CurveComparison of Fraction cells: dips (x, depth) as Fractions,
+    the extreme gaps rounded once to floats."""
+    from itertools import accumulate
+
+    from thermoorder import ABOVE, BELOW, CROSSING, EQUAL, CurveComparison
+
+    gaps = list(accumulate(mass_a - mass_b for *_, mass_a, mass_b in cells[:-1]))
+    if not gaps:
+        return CurveComparison(EQUAL, (), False, 0.0, 0.0)
+    xs = accumulate(length for length, *_ in cells)
+    dips = tuple((x, -d) for x, d in zip(xs, gaps) if d < 0)
+    rises = any(d > 0 for d in gaps)
+    verdict = CROSSING if dips and rises else BELOW if dips else ABOVE if rises else EQUAL
+    min_gap, max_gap = float(min(gaps)), float(max(gaps))
+    return CurveComparison(verdict, dips, verdict == ABOVE and min_gap <= 0, min_gap, max_gap)
+
+
+def oracle_comparison(a: BlockState, b: BlockState):
+    """Dominance of a over b on the Fraction cells of their exact copies."""
+    return fraction_comparison(fraction_cells(a, b))

@@ -38,9 +38,9 @@ from thermoorder.demo import (
     SMOOTHING_GRID,
     work_extraction_pair,
 )
-from thermoorder.modes import CMP_TOL
+from thermoorder.catalysis import _lattice
 
-from conftest import count_fraction_calls, gibbs_mixture, random_distribution, random_state
+from conftest import count_fraction_calls, gibbs_mixture, oracle_comparison, random_distribution, random_state
 
 mp.mp.dps = 40
 
@@ -354,11 +354,20 @@ def test_statement_five_inequality_on_demo_instance(demo_pair, demo_joint):
         assert lhs >= rhs - 1e-9
 
 
+def _cells(k: int, config: SearchConfig):
+    """The cells of the search's integer lattice as Fractions: (marginal
+    distributions, lambda, joint probabilities) per cell."""
+    n, d, walk = _lattice(k, config)
+    for xs, _, cells in walk:
+        margs = tuple((Fraction(x, n), Fraction(n - x, n)) for x in xs)
+        for lam, joint in cells:
+            yield margs, Fraction(lam, d), tuple(Fraction(v, d) for v in joint)
+
+
 def test_three_qubit_cells_preserve_marginals_and_order():
     import itertools
 
     from thermoorder import JointCatalyst
-    from thermoorder.catalysis import _cells
 
     config = SearchConfig(marginal_grid=5, polytope_grid=5)
     first = list(itertools.islice(_cells(3, config), 200))
@@ -391,8 +400,6 @@ CELL_DIGESTS = {
 def test_cell_sequence_is_pinned(k, marginal_grid, polytope_grid):
     import hashlib
     import itertools
-
-    from thermoorder.catalysis import _cells
 
     config = SearchConfig(marginal_grid=marginal_grid, polytope_grid=polytope_grid)
     h = hashlib.sha256()
@@ -432,20 +439,19 @@ def test_three_subsystem_marginals():
 
 def _composite_verify(a, b, joint):
     """The comparison verify_correlating_transition and the search replaced:
-    both sides built as validated composite states, compared on their
-    Fraction or float cells."""
+    both sides built as validated composite states of the exact copies of
+    the states, the marginals and the joint, compared on their Fraction
+    cells."""
     from thermoorder import tensor, tensor_all
-    from thermoorder.majorization import compare_cells, thermal_cells
 
-    initial, final = tensor_all([a, *joint.marginals()]), tensor(b, joint.as_state())
-    return compare_cells(thermal_cells(initial, final), 0 if initial.exact and final.exact else CMP_TOL)
+    initial = tensor_all([s.to_exact() for s in (a, *joint.marginals())])
+    return oracle_comparison(initial, tensor(b.to_exact(), joint.as_state().to_exact()))
 
 
 def _per_cell_search(a, b, config):
     """The search as a validated joint, its total correlation and a
     composite-state comparison per cell."""
     from thermoorder import JointCatalyst, SearchResult, thermomajorizes
-    from thermoorder.catalysis import _cells
     from thermoorder.modes import POSSIBLE_TOL
 
     if not correlating_catalytic_possible(a, b).possible:
@@ -520,27 +526,35 @@ def test_three_qubit_product_point_is_compared_once(monkeypatch):
     import itertools
 
     import thermoorder.catalysis as catalysis
+    from thermoorder.majorization import integer_data
 
-    compared = []
-    segments = catalysis._segments
+    # the masses each final side was built from: b's numerators times one joint's
+    made, compared = {}, []
+    partition, dominates = catalysis.partition, catalysis.dominates
 
-    def recording(s, factors, gibbs, exact):
-        if len(factors) == 1:  # the final side: b next to one joint
-            compared.append(tuple(factors[0]))
-        return segments(s, factors, gibbs, exact)
+    def recording_partition(nums, lengths):
+        side = partition(nums, lengths)
+        made[id(side)] = tuple(nums)
+        return side
 
-    monkeypatch.setattr(catalysis, "_segments", recording)
+    def recording_dominates(initial, final):
+        compared.append(made[id(final)])
+        return dominates(initial, final)
+
+    monkeypatch.setattr(catalysis, "partition", recording_partition)
+    monkeypatch.setattr(catalysis, "dominates", recording_dominates)
     initial, final = work_extraction_pair(1.0, 0.01, 0.75, 0.006)
     config = SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=100)
     assert search_correlating_catalyst(initial, final, config) is None
-    # a float search compares the float copies of the cells
-    walked = [(lam, tuple(map(float, probs)))
-              for _, lam, probs in itertools.islice(catalysis._cells(3, config), 100)]
-    products = {probs for lam, probs in walked if lam == 0}
+    _, (_, b_nums), _, _ = integer_data(initial.ham.gibbs, (initial.probs, final.probs))
+    _, _, walk = _lattice(3, config)
+    walked = [(lam, tuple(p * v for p in b_nums for v in joint))
+              for lam, joint in itertools.islice((c for _, _, cells in walk for c in cells), 100)]
+    products = {masses for lam, masses in walked if lam == 0}
     # four slices of five cells per marginal triple, each starting at its product point
     assert len(products) == 5 and sum(lam == 0 for lam, _ in walked) == 20
     assert len(compared) == len(set(compared))
-    assert products <= set(compared) <= {probs for _, probs in walked}
+    assert products <= set(compared) <= {masses for _, masses in walked}
 
 
 def test_float_search_does_no_fraction_arithmetic(monkeypatch):
@@ -563,6 +577,27 @@ def test_exact_search_does_no_fraction_arithmetic_per_cell(monkeypatch):
         counts.append(len(calls))
         calls.clear()
     assert counts[0] == counts[1] > 0
+
+
+def test_exact_search_builds_no_fraction_per_discarded_cell(monkeypatch):
+    # a cell's verdict is read from the signs of its gaps, so a discarded
+    # cell builds no Fraction, not even for its dips
+    initial, final = (s.to_exact() for s in work_extraction_pair(1.0, 0.01, 0.75, 0.006))
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(None)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    counts = []
+    for budget in (50, 100):
+        config = SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=budget)
+        assert search_correlating_catalyst(initial, final, config) is None
+        counts.append(len(built))
+        built.clear()
+    assert counts[0] == counts[1]
 
 
 def test_exact_thermomajorizes_does_no_fraction_arithmetic_per_cell(monkeypatch):
@@ -636,23 +671,22 @@ def test_search_matches_the_per_cell_search_on_generated_pairs(pair):
 def test_search_counts_the_cells_it_compares(monkeypatch):
     import thermoorder.catalysis as catalysis
 
-    refined = []
-    refine = catalysis.refine
+    walked = []
+    dominates = catalysis.dominates
 
     def recording(a, b):
-        refined.append(1)
-        return refine(a, b)
+        walked.append(1)
+        return dominates(a, b)
 
-    monkeypatch.setattr(catalysis, "refine", recording)
+    monkeypatch.setattr(catalysis, "dominates", recording)
     pair = work_extraction_pair(2.5, 0.05, 0.75, 0.02)
     config = SearchConfig(marginal_grid=5, polytope_grid=5, budget_cells=300)
     counts = []
     for initial, final in (pair, [s.to_exact() for s in pair]):
-        refined.clear()
+        walked.clear()
         result = search_correlating_catalyst(initial, final, config)
         assert 0 < result.cells_compared <= result.cells_evaluated == 126
-        # an exact search also refines once to verify the returned cell
-        assert len(refined) == result.cells_compared + initial.exact
+        assert len(walked) == result.cells_compared
         counts.append((result.cells_evaluated, result.cells_compared))
     assert counts[0] == counts[1]
 
@@ -701,8 +735,8 @@ def test_exact_search_matches_the_per_cell_search_on_tied_rational_pairs():
 
 def test_exact_search_is_gauge_invariant_beyond_float_range():
     # scaling every Gibbs weight by one constant leaves each decision as it
-    # was; this one pushes the integer masses past the float range, which
-    # compare_cells reads in their unit, so nothing overflows
+    # was; this one pushes the integer lengths past the float range, which
+    # the walk reads exactly, so nothing overflows
     scale = Fraction(3 ** 700, 2 ** 1109)
     config = SearchConfig(marginal_grid=5, polytope_grid=5, budget_cells=200)
     outcomes = set()

@@ -190,7 +190,8 @@ def test_witness_infeasible_pair_reports_breakpoint(tmp_path):
 
 
 def test_witness_reports_the_exact_comparison_on_a_float_near_tie(tmp_path):
-    # 1e-14 of mass moved: float curves tie within cmp_tol, exact ones do not
+    # 1e-14 of mass moved: the curves differ by less than any float slack,
+    # and both commands decide them exactly, as the rationals the files hold
     levels = [0, 0.4, 1.1, 2]
     a = tmp_path / "a.json"
     save_json({"levels": levels, "probs": [0.4 + 1e-14, 0.3 - 1e-14, 0.2, 0.1]}, a)
@@ -201,6 +202,10 @@ def test_witness_reports_the_exact_comparison_on_a_float_near_tie(tmp_path):
     assert "feasible: False" in res.stdout
     assert "curve: below" in res.stdout
     assert "violating_breakpoint_x" in res.stdout
+    res = run_cli("check", str(a), str(b))
+    assert res.returncode == 1
+    assert "curve: below" in res.stdout
+    assert "possible: False" in res.stdout
 
 
 @pytest.mark.parametrize("mode, gap", [("float", "0.049999999999999996"),
@@ -210,16 +215,16 @@ def test_witness_decides_an_infeasible_pair_once(tmp_path, monkeypatch, capsys, 
     # the comparison that rules the witness out is the one reported
     from thermoorder import cli, majorization
 
-    cut = majorization.refine
+    walk = majorization.compare_partitions
     calls = []
 
-    def counted(a, b):
+    def counted(*args):
         calls.append(None)
-        return cut(a, b)
+        return walk(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("thermoorder") and getattr(module, "refine", None) is cut:
-            monkeypatch.setattr(module, "refine", counted)
+        if name.startswith("thermoorder") and getattr(module, "compare_partitions", None) is walk:
+            monkeypatch.setattr(module, "compare_partitions", counted)
     a = tmp_path / "a.json"
     save_json({"levels": [0, 0, 0], "probs": ["3/5", "1/4", "3/20"]}, a)
     b = tmp_path / "b.json"

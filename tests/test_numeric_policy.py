@@ -65,21 +65,46 @@ def test_library_code_calls_the_evaluator_not_the_raw_sequence_functions():
 
 
 def test_only_majorization_orders_levels():
-    """The beta order, the scaling of exact data to integers and the cell
-    refinement built on them stay in one module; the others ask it for
-    curves, comparisons or cells, except that the catalyst decisions order
-    their composite sides' segments themselves, in Fractions, floats or
-    integers, all scaled by the one helper."""
+    """The one beta-order function, the exact integer reading of the data
+    and the walk and cells built on them stay in one module; the others ask
+    it for readings, partitions, verdicts, comparisons or cells."""
     package = pathlib.Path(thermoorder.__file__).parent
     defined = [path.name for path in sorted(package.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.FunctionDef)
-               and node.name in ("beta_segments", "integer_segments", "integer_data", "_beta_order")]
-    assert defined == ["majorization.py"] * 4, defined
-    found = _calls(("beta_segments", "integer_segments", "integer_data"),
-                   skip=("majorization.py", "catalysis.py"))
-    found += _calls(("_beta_order", "lcm"), skip=("majorization.py",))
+               and node.name in ("beta_order", "integer_data", "partition", "_gaps", "refine")]
+    assert defined == ["majorization.py"] * 5, defined
+    found = _calls(("beta_order", "_gaps", "refine", "lcm"), skip=("majorization.py",))
     assert not found, found
+
+
+def _names(tree) -> set:
+    """Every name a syntax tree reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_curve_verdicts_take_no_float_slack():
+    """Curve dominance is decided exactly for every arithmetic: the module
+    that decides it imports no tolerance, the tie tolerance is gone, and the
+    correlating verification and search name no comparison slack."""
+    package = pathlib.Path(thermoorder.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    imports = [node for node in ast.walk(trees["majorization.py"])
+               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "modes"
+               or isinstance(node, (ast.Import, ast.ImportFrom)) and "modes" in _names(node)]
+    assert not imports, [node.lineno for node in imports]
+    assert not [name for name, tree in trees.items() if "TIE_TOL" in _names(tree)]
+    functions = {node.name: node for node in ast.walk(trees["catalysis.py"]) if isinstance(node, ast.FunctionDef)}
+    for name in ("verify_correlating_transition", "search_correlating_catalyst"):
+        assert "CMP_TOL" not in _names(functions[name]), name
 
 
 def test_exact_and_float_copies_are_made_only_at_the_boundary():
