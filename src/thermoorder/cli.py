@@ -9,9 +9,8 @@ prints the report and writes it to --report.
 
 The numeric mode defaults to THERMO_ORDER_MODE ({float|rational}) and can
 be overridden per invocation with --numeric-mode. ``main`` resolves it once
-into ``args.exact`` (load files as rationals) and ``args.cmp_tol`` (0 in
-rational mode), the slack of the free-energy comparisons; curve verdicts
-are exact in both modes.
+into ``args.exact`` (load files as rationals) and ``args.cmp_tol``, the
+free-energy slack (0 in rational mode); curve verdicts are always exact.
 """
 
 from __future__ import annotations

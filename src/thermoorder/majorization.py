@@ -115,29 +115,25 @@ def _gaps(a, b):
     At a breakpoint of one curve, the other curve's height is read on its
     segment (length G, mass P) that holds x, whose right end (X, Y) lies at
     or past x: (Y G - (X - x) P) / (M G), so the gap's numerator over M G is
-    one integer expression; at a breakpoint of both, G is 1.
+    one integer expression.
     """
     (la, ma), (lb, mb) = a, b
     last_a, last_b = len(la) - 1, len(lb) - 1
     i = j = 0
     xa, xb, ya, yb = la[0], lb[0], ma[0], mb[0]  # the current segments' right ends
     while i < last_a or j < last_b:
-        if xa < xb:
+        if xa <= xb:
             yield xa, (ya - yb) * lb[j] + (xb - xa) * mb[j], lb[j]
+            if xa == xb:  # a breakpoint of both curves
+                j += 1
+                xb += lb[j]
+                yb += mb[j]
             i += 1
             xa += la[i]
             ya += ma[i]
-        elif xb < xa:
+        else:
             yield xb, (ya - yb) * la[i] - (xa - xb) * ma[i], la[i]
             j += 1
-            xb += lb[j]
-            yb += mb[j]
-        else:
-            yield xa, ya - yb, 1
-            i += 1
-            j += 1
-            xa += la[i]
-            ya += ma[i]
             xb += lb[j]
             yb += mb[j]
 
@@ -181,15 +177,13 @@ def compare_partitions(a, b, x_unit) -> CurveComparison:
     is the denominator of the lengths. The extreme gaps are rounded once,
     from the exact values."""
     gaps = list(_gaps(a, b))
-    if not gaps:
-        return CurveComparison(EQUAL, (), False, 0.0, 0.0)
     mass_unit = sum(a[1])
     dips = [gap for gap in gaps if gap[1] < 0]
     rises = any(d > 0 for _, d, _ in gaps)
     verdict = CROSSING if dips and rises else BELOW if dips else ABOVE if rises else EQUAL
     # an int over an int is correctly rounded, and rounding is monotone
     values = [d / (mass_unit * length) for _, d, length in gaps]
-    min_gap, max_gap = min(values), max(values)
+    min_gap, max_gap = min(values, default=0.0), max(values, default=0.0)
     return CurveComparison(verdict, _Dips(dips, x_unit, mass_unit) if dips else (),
                            verdict == ABOVE and min_gap <= 0, min_gap, max_gap)
 

@@ -784,6 +784,8 @@ def test_verify_matches_the_composite_state_comparison(rng):
             joint = product_joint([m.probs for m in joint.marginals()])
         expected = _composite_verify(a, b, joint)
         assert verify_correlating_transition(a, b, joint) == expected
+        # float states are decided as the rationals they hold
+        assert verify_correlating_transition(a.to_exact(), b.to_exact(), joint) == expected
         verdicts.add(expected.verdict)
         if exact_states and exact_joint and trial < 16:
             # once per shape, Gibbs weights whose integers lie beyond the float range
