@@ -8,8 +8,8 @@ at the breakpoints of both curves decide dominance everywhere; plain
 majorization is the case of a trivial Hamiltonian.
 
 Every dominance question, on float, exact or mixed data, is decided by one
-exact walk over those breakpoints. Entries are read by as_integer_ratio(),
-which is lossless for floats too, since they are dyadic rationals, and each
+exact walk over those breakpoints. Entries are read exactly as integers
+over one denominator, floats too, since they are dyadic rationals, and each
 gap's sign is one integer cross-multiplication, so no tolerance decides a
 verdict. Witnesses are built on integer cells of the same reading. Curves
 themselves are built only for export.
