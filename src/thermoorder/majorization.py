@@ -146,7 +146,8 @@ def dominates(a, b) -> bool:
 
 class _Dips(Sequence):
     """A comparison's violations as (x, gap) Fractions, built on first read:
-    deciding needs only the gaps' signs, and most readers take the first."""
+    most callers read only the verdict, and two Fractions per dip cost more
+    than the walk that found the dip."""
 
     def __init__(self, dips, x_unit, mass_unit):
         self._dips, self._units = dips, (x_unit, mass_unit)

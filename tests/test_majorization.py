@@ -237,10 +237,14 @@ def test_tensoring_with_common_state_preserves_dominance(rng):
     for _ in range(15):
         a = random_state(rng, 3)
         b = gibbs_mixture(a, 0.5 + 0.5 * rng.random())
-        extra = random_state(rng, 2).to_exact()
+        extra = random_state(rng, 2)
         assert thermomajorizes(a, b).dominates
-        # exact copies: float products round, which can open a dip of 1e-17
-        assert thermomajorizes(tensor(a.to_exact(), extra), tensor(b.to_exact(), extra)).dominates
+        # exact products keep the dominance exactly
+        exact = [s.to_exact() for s in (a, b, extra)]
+        assert thermomajorizes(tensor(exact[0], exact[2]), tensor(exact[1], exact[2])).dominates
+        # float products round, so the composites may dip, but only by a rounding error
+        composite = thermomajorizes(tensor(a, extra), tensor(b, extra))
+        assert all(gap < 1e-15 for _, gap in composite.violations)
 
 
 def test_dominance_implies_free_energy_ordering(rng):
@@ -344,6 +348,21 @@ def test_the_walk_decides_like_the_fraction_cells(pair):
     # repr tells Fraction from int and float, so this compares types too
     assert got == want and repr(got) == repr(want)
     assert got.violations == tuple(got.violations) and len(got.violations) == len(want.violations)
+
+
+@pytest.mark.parametrize("levels, p, q", [
+    # a probability of 1e-300 or 5e-324 needs a scale of 2**1050 or more
+    ((0.0, 1.0, 2.0), (0.5, 0.5, 1e-300), (0.5, 0.3, 0.2)),
+    ((0.0, 1.0, 2.0), (0.6, 0.4, 5e-324), (0.6, 0.2, 0.2)),
+    # a Gibbs weight of e^-700 does too; one of e^-400 next to e^300 scales past the float range
+    ((0.0, 350.0, 700.0), (0.5, 0.3, 0.2), (0.4, 0.4, 0.2)),
+    ((-300.0, 0.0, 400.0), (0.5, 0.3, 0.2), (0.2, 0.4, 0.4)),
+])
+def test_the_walk_reads_floats_that_scale_past_the_float_range(levels, p, q):
+    ham = Hamiltonian(levels)
+    a, b = BlockState(p, ham), BlockState(q, ham)
+    for x, y in ((a, b), (b, a)):
+        assert thermomajorizes(x, y) == oracle_comparison(x, y)
 
 
 def test_marginal_flag_on_tangent_curves():
