@@ -23,7 +23,6 @@ from .majorization import (CurveComparison, compare_partitions, dominates, integ
 from .modes import POSSIBLE_TOL, SPECTRUM_TOL, is_exact_number, to_fraction
 from .states import BlockState, JointCatalyst, gibbs_state, product_joint, validate_distribution
 
-PLAIN = "plain"
 CATALYTIC = "catalytic"
 CORRELATING = "correlating"
 

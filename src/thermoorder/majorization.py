@@ -305,17 +305,18 @@ def refine(a, b) -> list:
 
 
 def exact_cells(a: BlockState, b: BlockState) -> tuple:
-    """(cells, units): the common cells of a and b for the witness
-    construction, read by integer_data and scaled to integers, with the units
-    = (x_unit, mass_unit) their lengths and masses carry. A level's density
-    is its numerator times top / G_i with top = lcm(G), so every cell mass is
-    an integer; each is that unit times the length or mass of a cell of the
-    inputs' exact copies, cut in the same order."""
+    """(cells, G, units): the common cells of a and b for the witness
+    construction, read by integer_data and scaled to integers, the Gibbs
+    numerators G over x_unit, and the units = (x_unit, mass_unit) the cells'
+    lengths and masses carry. A level's density is its numerator times
+    top / G_i with top = lcm(G), so every cell mass is an integer; each is
+    that unit times the length or mass of a cell of the inputs' exact
+    copies, cut in the same order."""
     lengths, numerators, g, m = integer_data(a.ham.gibbs, (a.probs, b.probs))
     top = math.lcm(*lengths)
     sides = ([(lengths[i], nums[i] * (top // lengths[i]), i) for i in beta_order(nums, lengths)]
              for nums in numerators)
-    return refine(*sides), (g, m * top)
+    return refine(*sides), lengths, (g, m * top)
 
 
 def thermomajorizes(a: BlockState, b: BlockState) -> CurveComparison:

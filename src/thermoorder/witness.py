@@ -10,7 +10,7 @@ with no tolerance. The matrix is built on integer cells of the same reading
 (Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013); Shiraishi, "Two
 constructive proofs on d-majorization and thermo-majorization"): weighted
 T-transforms between cells and a sum back into levels. For exact inputs of
-up to 12 levels it runs on the cells as Fractions and is checked by exact
+up to 12 levels it runs on the cells in integers and is checked by exact
 equality; for float inputs, and exact inputs above 12 levels, it runs on the
 cells rendered once to floats and must pass residual bounds.
 """
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .majorization import exact_cells, thermomajorizes
+from .majorization import _integers, exact_cells, thermomajorizes
 from .modes import (
     GIBBS_DRIFT_TOL,
     WITNESS_ENTRY_TOL,
@@ -33,9 +33,8 @@ from .modes import (
 )
 from .states import BlockState, Hamiltonian, gibbs_state
 
-# Up to this many levels a witness for exact inputs is built in Fractions;
-# above, exact rational bit sizes grow too costly and it is built in floats,
-# as it is for float inputs at every size.
+# Up to this many levels a witness for exact inputs is built exactly; above,
+# rational bit sizes grow too costly and it is built in floats, as for floats.
 EXACT_DIMENSION_LIMIT = 12
 
 
@@ -79,14 +78,13 @@ class StochasticWitness:
 
     def apply(self, p) -> tuple:
         """Matrix-vector product; length must match the column count."""
-        n_rows, n_cols = self.dims
+        n_cols = self.dims[1]
         if len(p) != n_cols:
             raise ValueError(f"vector of length {len(p)} against {n_cols} columns")
-        if self.exact and all_exact(p):
-            return tuple(
-                sum((self.matrix[i][j] * p[j] for j in range(n_cols)), Fraction(0))
-                for i in range(n_rows)
-            )
+        if self.exact and all_exact(p):  # the entries read over one denominator b, p over d
+            (nums, b), (xs, d) = _integers([v for row in self.matrix for v in row]), _integers(p)
+            rows = (nums[i:i + n_cols] for i in range(0, len(nums), n_cols))
+            return tuple(Fraction(sum(v * x for v, x in zip(row, xs)), b * d) for row in rows)
         x = [float(v) for v in p]
         return tuple(math.fsum(float(v) * x_j for v, x_j in zip(row, x)) for row in self.matrix)
 
@@ -127,21 +125,25 @@ def identity_witness(n: int) -> StochasticWitness:
 def _construct(cells, gibbs, n: int):
     """Rows of a column-stochastic M with M g = g and M p = q, from the cells.
 
-    The cells are exact and the Gibbs weights Fractions, or both are
-    floats, and every running sum of p's minus q's cell mass is >= 0.
-    Row c of ``rows`` is the map from p's levels to the mass in cell c; it
-    starts as the proportional split of each level's interval. Weighted
-    T-transforms then move mass from the last cell with a surplus over q to
-    the first later cell with a deficit, preserving the cell lengths, until
-    every cell holds q's mass (each step settles one cell). Summing the rows
-    of each q level gives M.
+    Cells and Gibbs weights are all floats, all Fractions or all ints (the
+    weights over the cells' length unit, as exact_cells gives them), and
+    every running sum of p's minus q's cell mass is >= 0. Row c of ``rows``
+    is the map from p's levels to the mass in cell c; it starts as the
+    proportional split of each level's interval. Weighted T-transforms then
+    move mass from the last cell with a surplus over q to the first later
+    cell with a deficit, preserving the cell lengths, until every cell holds
+    q's mass (each step settles one cell). Summing the rows of each q level
+    gives M. Int rows are numerators over ``dens``, so M is exact and takes
+    integer arithmetic only, down to one Fraction per entry.
     """
+    exact = type(gibbs[0]) is int
     zero = 0 * gibbs[0]
-    rows, mass, target = [], [], []
+    rows, dens, mass, target = [], [], [], []
     for length, i, _, p_mass, q_mass in cells:
         row = [zero] * n
-        row[i] = length / gibbs[i]
+        row[i] = length if exact else length / gibbs[i]
         rows.append(row)
+        dens.append(gibbs[i])
         mass.append(p_mass)
         target.append(q_mass)
     m = len(cells)
@@ -151,9 +153,8 @@ def _construct(cells, gibbs, n: int):
             break
         k = next((c for c in range(j + 1, m) if mass[c] < target[c]), None)
         if k is None:
-            # the exact cells leave every surplus a later deficit, so this one
-            # is the rounding of the masses rendered to floats: count the
-            # cell settled and go on
+            # int cells leave every surplus a later deficit; float ones, rendered
+            # from them, can leave a rounding surplus: count the cell settled
             mass[j] = target[j]
             continue
         lj, lk = cells[j][0], cells[k][0]
@@ -162,34 +163,38 @@ def _construct(cells, gibbs, n: int):
         # T = [[1-s, t], [s, 1-t]] on (j, k) with s*lj = t*lk fixes the lengths
         # and moves s*mass[j] - t*mass[k] = delta
         denom = mass[j] * lk - mass[k] * lj
-        if denom > 0:
+        rj, rk = rows[j], rows[k]
+        if denom > 0 and exact:  # s and t as numerators over denom; rows j, k over dj, dk
+            s_num, t_num, dj, dk = min(denom, delta * lk), min(denom, delta * lj), dens[j], dens[k]
+            rows[j] = [(denom - s_num) * dk * u + t_num * dj * v for u, v in zip(rj, rk)]
+            rows[k] = [s_num * dk * u + (denom - t_num) * dj * v for u, v in zip(rj, rk)]
+            for c in (j, k):  # both new rows lie over denom dj dk; reduce them
+                g = math.gcd(denom * dj * dk, *rows[c])
+                rows[c], dens[c] = [u // g for u in rows[c]], denom * dj * dk // g
+        elif denom > 0:
             s, t = min(1, delta * lk / denom), min(1, delta * lj / denom)
-            rj, rk = rows[j], rows[k]
             rows[j] = [(1 - s) * u + t * v for u, v in zip(rj, rk)]
             rows[k] = [s * u + (1 - t) * v for u, v in zip(rj, rk)]
         if surplus <= deficit:
             mass[j], mass[k] = target[j], mass[k] + surplus
         else:
             mass[j], mass[k] = mass[j] - deficit, target[k]
+    if exact:  # the rows read over one denominator, so the sums below add integers
+        scales, top = _integers([Fraction(1, d) for d in dens])
+        rows = [[u * f for u in row] for row, f in zip(rows, scales)]
     matrix = [[zero] * n for _ in range(n)]
     for (_, _, j, _, _), row in zip(cells, rows):
         out = matrix[j]
         for i, v in enumerate(row):
             out[i] += v
-    return tuple(tuple(r) for r in matrix)
+    return tuple(tuple(Fraction(v, top) if exact else v for v in r) for r in matrix)
 
 
 def find_witness(p: BlockState, q: BlockState):
     """Gibbs-preserving stochastic matrix with M p = q, or None if none exists.
 
-    Feasibility is the exact thermomajorizes verdict (p's curve dominates
-    q's), float entries read losslessly as rationals and float vectors
-    renormalised exactly, so no tolerance decides it and no rational copy is
-    made. The inputs' arithmetic picks the construction, on the exact cells:
-    exact inputs of up to EXACT_DIMENSION_LIMIT levels get a matrix built on
-    them in Fractions and checked by exact equality; float inputs of any
-    size, and exact inputs above the limit, get one built on the cells
-    rendered once to floats, which must pass the residual bounds. Any
+    Feasibility is decided and the matrix built as the module docstring says,
+    exact inputs of up to EXACT_DIMENSION_LIMIT levels in integers; any
     returned witness has been re-validated by direct multiplication.
     """
     return _witness_or_comparison(p, q)[0]
@@ -210,12 +215,9 @@ def _witness_or_comparison(p: BlockState, q: BlockState) -> tuple:
     comparison = thermomajorizes(p, q)
     if not comparison.dominates:
         return None, comparison
-    cells, (x_unit, mass_unit) = exact_cells(p, q)
+    cells, weights, (x_unit, mass_unit) = exact_cells(p, q)
     if p.exact and q.exact and n <= EXACT_DIMENSION_LIMIT:
-        cells = [(Fraction(length, x_unit), i, j, Fraction(p_mass, mass_unit), Fraction(q_mass, mass_unit))
-                 for length, i, j, p_mass, q_mass in cells]
-        # Fraction weights, so that lengths over weights stay exact
-        witness = StochasticWitness(_construct(cells, [Fraction(g) for g in p.ham.gibbs], n))
+        witness = StochasticWitness(_construct(cells, weights, n))
         # exact arithmetic, so equality is strict
         if witness.apply(p.probs) != q.probs or witness.apply(gamma) != gamma:
             raise WitnessNumericalError("exact construction produced an invalid witness")
