@@ -21,7 +21,7 @@ from .entropies import (ALPHA_0, ALPHA_1, ALPHA_INF, _correlation, _divergences,
 from .majorization import (CurveComparison, compare_partitions, dominates, integer_data, partition,
                            thermomajorizes)
 from .modes import POSSIBLE_TOL, SPECTRUM_TOL, is_exact_number, to_fraction
-from .states import BlockState, JointCatalyst, gibbs_state, product_joint, validate_distribution
+from .states import BlockState, JointCatalyst, product_joint, validate_distribution
 
 CATALYTIC = "catalytic"
 CORRELATING = "correlating"
@@ -316,7 +316,7 @@ class WorkQuantities:
 
 
 def work_quantities(s: BlockState) -> WorkQuantities:
-    gamma = gibbs_state(s.ham).probs
+    gamma = s.ham.gibbs_probs
     return WorkQuantities(*_divergences(s.probs, gamma, (ALPHA_0, ALPHA_1, ALPHA_INF)))
 
 
@@ -327,9 +327,8 @@ def smooth_toward_gibbs(b: BlockState, epsilon) -> BlockState:
         raise ValueError("smoothing weight must lie in [0, 1]")
     if epsilon == 0:
         return b
-    gamma = gibbs_state(b.ham)
     eps = to_fraction(epsilon) if (b.exact and is_exact_number(epsilon)) else float(epsilon)
-    probs = tuple((1 - eps) * p + eps * g for p, g in zip(b.probs, gamma.probs))
+    probs = tuple((1 - eps) * p + eps * g for p, g in zip(b.probs, b.ham.gibbs_probs))
     return BlockState(probs, b.ham)
 
 

@@ -54,7 +54,7 @@ from .modes import (
 )
 from .states import (
     BlockState,
-    gibbs_state,
+    Hamiltonian,
     joint_to_dict,
     load_state,
     marginal,
@@ -107,7 +107,16 @@ def _digest(path: str) -> str:
 
 
 def _load(path: str, exact: bool) -> BlockState:
+    """The file's state in the chosen arithmetic, on the absolute Boltzmann
+    weights e^{-E_i} of its levels where floats hold them, so answers and
+    exports keep the units of the levels as written; beyond the float
+    range, on the library's ground-relative weights."""
     state = load_state(path)
+    levels = state.ham.levels
+    try:
+        state = BlockState(state.probs, Hamiltonian(levels, tuple(math.exp(-float(e)) for e in levels)))
+    except (OverflowError, ValueError):  # a weight over- or underflows
+        pass
     return state.to_exact() if exact else state.to_float()
 
 
@@ -249,7 +258,7 @@ def cmd_witness(args, report: RunReport, out) -> int:
             report.numbers["violating_breakpoint_x"] = float(x)
             report.numbers["violating_breakpoint_gap"] = float(gap)
         return EXIT_IMPOSSIBLE
-    gamma = gibbs_state(a.ham).probs
+    gamma = a.ham.gibbs_probs
     report.verdicts["feasible"] = True
     residuals = witness.residuals(a.probs, b.probs, gamma)
     for key, value in sorted(residuals.items()):
@@ -364,7 +373,7 @@ def cmd_example(args, report: RunReport, out) -> int:
     if witness is None:
         step("witness-extraction", False, "no Gibbs-preserving map found")
     else:
-        gamma = gibbs_state(big_initial.ham).probs
+        gamma = big_initial.ham.gibbs_probs
         # find_witness has already held the residuals to its bounds
         res = witness.residuals(big_initial.probs, big_final.probs, gamma)
         step("witness-extraction", True,

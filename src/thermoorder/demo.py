@@ -46,13 +46,12 @@ def work_extraction_pair(beta_e: float = BETA_E, beta_w: float = BETA_W,
         raise ValueError("ground population must lie strictly in (0,1)")
     if not 0 < eps < 1:
         raise ValueError("failure probability must lie strictly in (0,1)")
-    z = system.partition_function
     initial = tensor(
         BlockState((p, 1.0 - p), system),
         BlockState((1.0, 0.0), work_bit),
     )
     final = tensor(
-        BlockState(tuple(g / z for g in system.gibbs), system),
+        BlockState(system.gibbs_probs, system),
         BlockState((eps, 1.0 - eps), work_bit),
     )
     return initial, final

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .entropies import Alpha, _divergences, _entropies, nonnegative_alpha_grid
 from .modes import EMBEDDING_TOL, is_exact_number
-from .states import BlockState, gibbs_state
+from .states import BlockState
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def rational_gibbs(ham, max_denominator: int):
         raise ValueError(
             f"max_denominator {max_denominator} cannot give {n} positive blocks"
         )
-    gamma = [float(p) for p in gibbs_state(ham).probs]
+    gamma = [float(p) for p in ham.gibbs_probs]
     best_d, best_err = None, None
     for D in range(n, max_denominator + 1):
         d = _apportion(gamma, D)
@@ -126,7 +126,7 @@ def embedding_identity_check(s: BlockState, spec: EmbeddingSpec, alphas=None) ->
     nonnegative alpha line (the sign convention flips the ln D term for
     negative orders), so the default grid is alpha >= 0.
     """
-    gamma = gibbs_state(s.ham).probs
+    gamma = s.ham.gibbs_probs
     ref = spec.gibbs_probs()
     if s.ham.exact:
         if tuple(gamma) != tuple(ref):

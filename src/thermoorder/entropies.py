@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .modes import ALPHA_ONE_WINDOW, CMP_TOL, CORRELATION_CLAMP
-from .states import BlockState, JointCatalyst, gibbs_state, validate_distribution
+from .states import BlockState, JointCatalyst, validate_distribution
 
 
 @dataclass(frozen=True, order=True)
@@ -180,9 +180,10 @@ def renyi_divergence(p: Sequence, q: Sequence, a) -> float:
 
 
 def free_energy_alpha(s: BlockState, a) -> float:
-    """F_alpha relative to nothing: -ln Z + S_alpha(p || gibbs)."""
+    """F_alpha relative to nothing: -ln Z + S_alpha(p || gibbs), with the
+    absolute ln Z = ln sum e^{-E_i} taken from the levels in log space."""
     div = free_energy_gap(s, a)
-    return div if math.isinf(div) else -math.log(float(s.ham.partition_function)) + div
+    return div if math.isinf(div) else -_log_power_sum(-float(e) for e in s.ham.levels) + div
 
 
 def free_energy_gap(s: BlockState, a) -> float:
@@ -191,7 +192,7 @@ def free_energy_gap(s: BlockState, a) -> float:
     Evaluating the divergence avoids the -ln Z cancellation, so gaps near
     zero keep full precision."""
     a = Alpha.coerce(a)
-    return _divergences(s.probs, gibbs_state(s.ham).probs, [a])[0]
+    return _divergences(s.probs, s.ham.gibbs_probs, [a])[0]
 
 
 @dataclass(frozen=True)
@@ -278,7 +279,7 @@ def delta_f_sweep(initial: BlockState, final: BlockState, alphas=None) -> AlphaP
         raise ValueError("sweep needs at least one order")
     # both free energies share -ln Z, so their difference is one of
     # divergences to the one Gibbs vector, with -ln Z cancelled exactly
-    gamma = gibbs_state(initial.ham).probs
+    gamma = initial.ham.gibbs_probs
     entries = []
     for a, fv, iv in zip(alphas, _divergences(final.probs, gamma, alphas),
                          _divergences(initial.probs, gamma, alphas)):

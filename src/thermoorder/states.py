@@ -4,6 +4,10 @@ Conventions, fixed once for the whole library:
 
 * Energies are stored pre-multiplied by the inverse temperature (beta*E,
   dimensionless), so kT = 1 and every entropic quantity is in nats.
+* Gibbs weights derived from levels are relative to the ground level,
+  e^{-(E_i - E_min)}, so a constant added to every level changes none of
+  them; Z is their sum. ``Hamiltonian`` holds them, Z and the Gibbs
+  distribution, and every other module reads them from there.
 * Zero probabilities are kept, never pruned: support counts feed the
   rank-based transition criteria downstream.
 * Tensor products flatten in row-major order (left factor is the slow
@@ -16,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .modes import (
@@ -29,9 +34,9 @@ from .modes import (
 
 
 def _is_finite(x) -> bool:
-    if is_exact_number(x):
-        return True
-    return isinstance(x, float) and math.isfinite(x)
+    if type(x) is float:  # the common case, checked first
+        return math.isfinite(x)
+    return is_exact_number(x) or isinstance(x, float) and math.isfinite(x)
 
 
 def validate_distribution(probs: Sequence) -> bool:
@@ -63,8 +68,8 @@ def validate_distribution(probs: Sequence) -> bool:
 
 
 def _exp_neg(level):
-    # an exact zero level keeps an exact unit Gibbs weight, so trivial
-    # Hamiltonians stay inside the rational world
+    # an exact level at the ground keeps an exact unit Gibbs weight, so
+    # trivial Hamiltonians stay inside the rational world
     if is_exact_number(level) and level == 0:
         return Fraction(1)
     return math.exp(-float(level))
@@ -74,9 +79,13 @@ def _exp_neg(level):
 class Hamiltonian:
     """Energy levels in kT units; index i labels level i.
 
-    ``gibbs`` holds the Boltzmann weights e^{-E_i}. They are derived from the
-    levels unless the Hamiltonian was built from explicit rational weights
-    (``from_gibbs_factors``), which is how exactly-rational Gibbs states enter.
+    ``gibbs`` holds the Boltzmann weights relative to the ground level,
+    e^{-(E_i - E_min)}, so the largest is exactly 1. They are derived from
+    the levels unless given explicitly (``from_gibbs_factors``, ``tensor``,
+    ``BlockState.to_exact`` / ``to_float``), which is how exactly-rational
+    Gibbs states enter; explicit weights are kept as given. Z
+    (``partition_function``) is their sum and ``gibbs_probs`` the Gibbs
+    distribution g_i / Z, each computed once, on first use.
     """
 
     levels: tuple
@@ -92,15 +101,19 @@ class Hamiltonian:
                 raise ValueError(f"level {i} is not finite: {e!r}")
         object.__setattr__(self, "levels", levels)
         if self.gibbs is None:
-            object.__setattr__(self, "gibbs", tuple(_exp_neg(e) for e in levels))
+            ground = min(levels)
+            gibbs = tuple(_exp_neg(e - ground) for e in levels)
         else:
             gibbs = tuple(self.gibbs)
             if len(gibbs) != len(levels):
                 raise ValueError("levels and Gibbs weights differ in length")
-            if any(not _is_finite(g) or g <= 0 for g in gibbs):
-                raise ValueError("Gibbs weights must be finite and positive")
-            object.__setattr__(self, "gibbs", gibbs)
-        object.__setattr__(self, "exact", all_exact(self.gibbs))
+        for i, g in enumerate(gibbs):
+            # a level some 745 kT above the ground underflows to 0.0
+            if not _is_finite(g) or g <= 0:
+                raise ValueError(f"Gibbs weight of level {i} ({levels[i]!r}) is {g!r}; "
+                                 "weights must be finite and positive")
+        object.__setattr__(self, "gibbs", gibbs)
+        object.__setattr__(self, "exact", all_exact(gibbs))
 
     @classmethod
     def trivial(cls, n: int) -> "Hamiltonian":
@@ -120,11 +133,17 @@ class Hamiltonian:
     def __len__(self) -> int:
         return len(self.levels)
 
-    @property
+    @cached_property
     def partition_function(self):
         if self.exact:
             return sum(self.gibbs, Fraction(0))
         return math.fsum(float(g) for g in self.gibbs)
+
+    @cached_property
+    def gibbs_probs(self) -> tuple:
+        """The Gibbs distribution g_i / Z."""
+        Z = self.partition_function
+        return tuple(g / Z for g in self.gibbs)
 
     def tensor(self, other: "Hamiltonian") -> "Hamiltonian":
         """Composite Hamiltonian: pairwise level sums, row-major order."""
@@ -182,8 +201,7 @@ class BlockState:
 
 def gibbs_state(ham: Hamiltonian) -> BlockState:
     """Thermal equilibrium state g_i/Z for the given Hamiltonian."""
-    Z = ham.partition_function
-    return BlockState(tuple(g / Z for g in ham.gibbs), ham)
+    return BlockState(ham.gibbs_probs, ham)
 
 
 def tensor(a: BlockState, b: BlockState) -> BlockState:

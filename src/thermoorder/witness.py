@@ -31,7 +31,7 @@ from .modes import (
     encode_number,
     parse_number,
 )
-from .states import BlockState, Hamiltonian, gibbs_state
+from .states import BlockState, Hamiltonian
 
 # Up to this many levels a witness for exact inputs is built exactly; above,
 # rational bit sizes grow too costly and it is built in floats, as for floats.
@@ -206,7 +206,7 @@ def _witness_or_comparison(p: BlockState, q: BlockState) -> tuple:
     if p.ham != q.ham:
         raise ValueError("witness search needs both states on the same Hamiltonian")
     n = len(p)
-    gamma = gibbs_state(p.ham).probs
+    gamma = p.ham.gibbs_probs
     if p.probs == q.probs:
         return identity_witness(n), None
     if q.probs == gamma:
@@ -245,7 +245,7 @@ def random_gibbs_stochastic(ham: Hamiltonian, seed: int, weight: float = 1.0,
     if not 0 <= weight <= 1:
         raise ValueError("mixing weight must lie in [0, 1]")
     n = len(ham)
-    gamma = [float(g) / float(ham.partition_function) for g in ham.gibbs]
+    gamma = [float(g) for g in ham.gibbs_probs]
     rng = _random.Random(seed)
     if exchanges is None:
         exchanges = 2 * n

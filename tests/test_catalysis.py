@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -64,30 +65,35 @@ def test_demo_transition_fails_catalytic_check(demo_pair):
     assert Alpha(4.0) in verdict.diagnostics
 
 
-def test_catalytic_check_builds_the_gibbs_state_once(demo_pair, monkeypatch):
+def test_catalytic_check_builds_the_gibbs_state_once(monkeypatch):
     import thermoorder.catalysis
     import thermoorder.entropies
     import thermoorder.states
 
-    calls, validations = [], []
+    computed, validations = [], []
+    record = Hamiltonian.__dict__["gibbs_probs"]
 
     def counting(ham):
-        calls.append(ham)
-        return gibbs_state(ham)
+        computed.append(ham)
+        return record.func(ham)
 
     def counting_validation(probs, _validate=thermoorder.states.validate_distribution):
         validations.append(probs)
         return _validate(probs)
 
-    for module in (thermoorder.entropies, thermoorder.catalysis):
-        monkeypatch.setattr(module, "gibbs_state", counting)
+    # a fresh pair, whose Hamiltonians no earlier check has asked for their Gibbs data
+    initial, final = work_extraction_pair()
+    counting_record = functools.cached_property(counting)
+    counting_record.__set_name__(Hamiltonian, "gibbs_probs")
+    monkeypatch.setattr(Hamiltonian, "gibbs_probs", counting_record)
     for module in (thermoorder.states, thermoorder.entropies, thermoorder.catalysis):
         monkeypatch.setattr(module, "validate_distribution", counting_validation)
-    initial, final = demo_pair
-    assert not catalytic_possible(initial, final).possible
-    assert len(calls) == 1
-    # the Gibbs state's construction; the 64 orders re-validate nothing
-    assert len(validations) <= 1
+    for _ in range(2):
+        assert not catalytic_possible(initial, final).possible
+    # one Gibbs distribution, computed on the first check and read by the second
+    assert len(computed) == 1 and computed[0] is initial.ham
+    # the 64 orders re-validate nothing, and the stored distribution needs no state
+    assert not validations
 
     joint = product_joint([(Fraction(1, 3), Fraction(2, 3))] * 3)
     validations.clear()
@@ -568,10 +574,12 @@ def test_float_search_does_no_fraction_arithmetic(monkeypatch):
 def test_exact_search_does_no_fraction_arithmetic_per_cell(monkeypatch):
     # the Fraction work of an exact search is its set-up (precondition,
     # direct curves, scaling to integers), whatever the number of cells
-    initial, final = (s.to_exact() for s in work_extraction_pair(1.0, 0.01, 0.75, 0.006))
+    # fresh states per budget: a Gibbs record stored by the first search
+    # would make the second one's set-up cheaper
+    pairs = [[s.to_exact() for s in work_extraction_pair(1.0, 0.01, 0.75, 0.006)] for _ in range(2)]
     calls = count_fraction_calls(monkeypatch)
     counts = []
-    for budget in (50, 100):
+    for budget, (initial, final) in zip((50, 100), pairs):
         config = SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=budget)
         assert search_correlating_catalyst(initial, final, config) is None
         counts.append(len(calls))
@@ -582,7 +590,7 @@ def test_exact_search_does_no_fraction_arithmetic_per_cell(monkeypatch):
 def test_exact_search_builds_no_fraction_per_discarded_cell(monkeypatch):
     # a cell's verdict is read from the signs of its gaps, so a discarded
     # cell builds no Fraction, not even for its dips
-    initial, final = (s.to_exact() for s in work_extraction_pair(1.0, 0.01, 0.75, 0.006))
+    pairs = [[s.to_exact() for s in work_extraction_pair(1.0, 0.01, 0.75, 0.006)] for _ in range(2)]
     built = []
     new = Fraction.__new__
 
@@ -592,7 +600,7 @@ def test_exact_search_builds_no_fraction_per_discarded_cell(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting)
     counts = []
-    for budget in (50, 100):
+    for budget, (initial, final) in zip((50, 100), pairs):
         config = SearchConfig(dims=((2, 2, 2),), marginal_grid=5, polytope_grid=5, budget_cells=budget)
         assert search_correlating_catalyst(initial, final, config) is None
         counts.append(len(built))

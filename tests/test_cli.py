@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,12 +72,43 @@ def test_check_hamiltonian_mismatch_exits_two(tmp_path, demo_files):
 
 
 def test_check_float_overflow_exits_two(tmp_path):
-    # a level of -800 kT overflows its Boltzmann weight e^800
+    # across an 800 kT spread the upper level's weight e^{-800} underflows
     deep = tmp_path / "deep.json"
     save_json({"levels": [-800.0, 0.0], "probs": [0.5, 0.5]}, deep)
     res = run_cli("check", str(deep), str(deep))
     assert res.returncode == 2
     assert res.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("numeric_mode", ["float", "rational"])
+def test_check_is_gauge_invariant_at_800_kT(tmp_path, numeric_mode):
+    # the shifted files' absolute Boltzmann weights under- or overflow
+    levels = (0.0, 0.4, 1.1, 2.0)
+    for shift in (0.0, 800.0, -800.0):
+        for name, probs in (("a", (0.4, 0.3, 0.2, 0.1)), ("b", (0.3, 0.28, 0.24, 0.18))):
+            save_json({"levels": [e + shift for e in levels], "probs": list(probs)},
+                      tmp_path / f"{name}{shift:+.0f}.json")
+    outcomes = {}
+    for shift in ("+0", "+800", "-800"):
+        for mode in ("plain", "catalytic", "correlating"):
+            res = run_cli("check", str(tmp_path / f"a{shift}.json"), str(tmp_path / f"b{shift}.json"),
+                          "--mode", mode, "--numeric-mode", numeric_mode)
+            verdicts = [line for line in res.stdout.splitlines() if line.startswith("curve:")]
+            outcomes.setdefault(shift, []).append((res.returncode, verdicts))
+    assert outcomes["+800"] == outcomes["-800"] == outcomes["+0"]
+    assert {code for code, _ in outcomes["+0"]} <= {0, 1}
+
+
+@pytest.mark.parametrize("numeric_mode", ["float", "rational"])
+def test_lorenz_keeps_the_absolute_weights_of_the_levels(tmp_path, numeric_mode):
+    # the library's weights are relative to the ground level; a file's
+    # curve keeps the units of its levels as written
+    state = tmp_path / "s.json"
+    save_json({"levels": [1.0, 2.5], "probs": [0.25, 0.75]}, state)
+    res = run_cli("lorenz", str(state), "--numeric-mode", numeric_mode)
+    assert res.returncode == 0, res.stderr
+    extent = float(res.stdout.split("x_extent = ")[1].split()[0])
+    assert extent == pytest.approx(math.exp(-1.0) + math.exp(-2.5), rel=1e-15)
 
 
 @pytest.mark.parametrize("document", [

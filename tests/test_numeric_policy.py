@@ -107,6 +107,23 @@ def test_curve_verdicts_take_no_float_slack():
         assert "CMP_TOL" not in _names(functions[name]), name
 
 
+def test_only_states_builds_the_gibbs_record():
+    """The Gibbs distribution and Z are computed once per Hamiltonian, in
+    states.py; every other module reads them and neither calls gibbs_state
+    nor divides by the partition function."""
+    package = pathlib.Path(thermoorder.__file__).parent
+    found = _calls(("gibbs_state",), skip=("states.py",))
+    for path in sorted(package.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            divisor = node.right if isinstance(node, ast.BinOp) else getattr(node, "value", None)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div) \
+                    and "partition_function" in _names(divisor):
+                found.append(f"{path.name}:{node.lineno}: / partition_function")
+    assert not found, found
+
+
 def test_exact_and_float_copies_are_made_only_at_the_boundary():
     """The CLI converts loaded files; every other computation takes the
     arithmetic of its inputs, and find_witness reads float inputs exactly

@@ -39,6 +39,16 @@ def test_gibbs_two_level_unit_gap():
     assert g.probs[1] == pytest.approx(math.exp(-1) / z, abs=1e-15)
 
 
+def test_a_level_whose_weight_underflows_is_rejected_at_construction():
+    # e^{-800} is 0.0 in floats: derived weights are checked like explicit ones
+    with pytest.raises(ValueError, match="level 1 "):
+        Hamiltonian((0.0, 800.0, 1.0))
+    with pytest.raises(ValueError, match="level 0 "):
+        Hamiltonian((1.0, 2.0), (0.0, 1.0))
+    # the weights are relative to the ground level, wherever it lies
+    assert Hamiltonian((-800.0, 1.0 - 800.0)).gibbs == (1.0, math.exp(-1.0))
+
+
 def test_gibbs_trivial_is_uniform():
     g = gibbs_state(Hamiltonian.trivial(3))
     assert g.probs == (Fraction(1, 3),) * 3

@@ -9,6 +9,8 @@ from thermoorder import (
     BlockState,
     Hamiltonian,
     StochasticWitness,
+    catalytic_possible,
+    correlating_catalytic_possible,
     find_witness,
     gibbs_state,
     identity_witness,
@@ -279,6 +281,56 @@ def test_exact_verdicts_are_gauge_invariant(pair, c):
         (want.verdict, want.marginal, want.min_gap, want.max_gap)
     assert got.violations == tuple((c * x, gap) for x, gap in want.violations)
     assert (find_witness(cp, cq) is None) == (find_witness(p, q) is None)
+
+
+@st.composite
+def dyadic_pairs(draw):
+    """Float pairs on 2..6 levels k/8 kT apart, spread at most 40 kT; half
+    the targets are mixtures of the initial state with its Gibbs state."""
+    n = draw(st.integers(2, 6))
+    levels = tuple(k / 8 for k in draw(st.lists(st.integers(0, 320), min_size=n, max_size=n)))
+    ham = Hamiltonian(levels)
+
+    def distribution():
+        weights = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n).filter(any))
+        return tuple(w / sum(weights) for w in weights)
+
+    p = distribution()
+    if draw(st.booleans()):
+        return p, distribution(), levels
+    t = draw(st.integers(1, 8)) / 8
+    return p, tuple((1 - t) * a + t * g for a, g in zip(p, ham.gibbs_probs)), levels
+
+
+@settings(max_examples=150, deadline=None)
+@given(dyadic_pairs(), st.integers(-800, 800))
+def test_float_verdicts_are_gauge_invariant(pair, shift):
+    # every level + shift is exact on this grid, and so is every difference
+    # to the ground level: the weights, and so every verdict, stay to the bit
+    p, q, levels = pair
+    ham, moved = Hamiltonian(levels), Hamiltonian(tuple(e + shift for e in levels))
+    assert moved.gibbs == ham.gibbs and max(ham.gibbs) == 1
+    a, b = BlockState(p, ham), BlockState(q, ham)
+    ma, mb = BlockState(p, moved), BlockState(q, moved)
+    assert _fields(thermomajorizes(ma, mb)) == _fields(thermomajorizes(a, b))
+    assert catalytic_possible(ma, mb) == catalytic_possible(a, b)
+    assert correlating_catalytic_possible(ma, mb) == correlating_catalytic_possible(a, b)
+    w, mw = find_witness(a, b), find_witness(ma, mb)
+    assert (mw and mw.matrix) == (w and w.matrix)
+
+
+@pytest.mark.parametrize("shift", [800.0, -800.0])
+def test_the_benchmark_gauge_pair_keeps_its_verdict_at_800_kT(shift):
+    # the benchmark's fault instance: at +800 kT the absolute weights
+    # underflow to 0.0, at -800 kT they overflow
+    levels = (0.0, 0.4, 1.1, 2.0)
+    p, q = (0.4, 0.3, 0.2, 0.1), (0.3, 0.28, 0.24, 0.18)
+    ham, moved = Hamiltonian(levels), Hamiltonian(tuple(e + shift for e in levels))
+    a, b = BlockState(p, ham), BlockState(q, ham)
+    ma, mb = BlockState(p, moved), BlockState(q, moved)
+    assert thermomajorizes(ma, mb).verdict == thermomajorizes(a, b).verdict
+    assert correlating_catalytic_possible(ma, mb).possible == correlating_catalytic_possible(a, b).possible
+    assert (find_witness(ma, mb) is None) == (find_witness(a, b) is None)
 
 
 def _fields(c):
