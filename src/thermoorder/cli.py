@@ -47,9 +47,9 @@ from .majorization import thermal_lorenz, thermomajorizes
 from .modes import (
     BUDGET_TOL,
     CLOSED_FORM_TOL,
-    CMP_TOL,
     FREE_ENERGY_FLOOR,
     NORM_TOL,
+    POSSIBLE_TOL,
     to_fraction,
 )
 from .states import (
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="numeric regime; defaults to $THERMO_ORDER_MODE or float")
     common.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS,
                         help="free-energy comparison slack in float mode, finite and "
-                             f">= 0 (default {CMP_TOL}); free energies use "
+                             f">= 0 (default {POSSIBLE_TOL}); free energies use "
                              f"max(tol, {FREE_ENERGY_FLOOR}), curve verdicts are exact")
     common.add_argument("--report", default=argparse.SUPPRESS,
                         help="write the run report as JSON")
@@ -486,7 +486,7 @@ def main(argv=None) -> int:
         if kind not in NUMERIC_MODES:
             raise ValueError(f"unknown numeric mode {kind!r}")
         args.exact = kind == "rational"
-        args.cmp_tol = 0.0 if args.exact else getattr(args, "tol", CMP_TOL)
+        args.cmp_tol = 0.0 if args.exact else getattr(args, "tol", POSSIBLE_TOL)
         report = RunReport(
             command=args.command,
             mode=kind,

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .modes import ALPHA_ONE_WINDOW, CMP_TOL, CORRELATION_CLAMP
+from .modes import ALPHA_ONE_WINDOW, CORRELATION_CLAMP, POSSIBLE_TOL
 from .states import BlockState, JointCatalyst, validate_distribution
 
 
@@ -223,14 +223,14 @@ class AlphaProfile:
 
     def sign_intervals(self) -> list:
         """Compressed runs of the sign of the value along the grid; values
-        within CMP_TOL of zero count as zero."""
+        within POSSIBLE_TOL of zero count as zero."""
         runs = []
         for e in self.entries:
             if not e.finite and math.isnan(e.value):
                 sign = "undefined"
-            elif e.value > CMP_TOL:
+            elif e.value > POSSIBLE_TOL:
                 sign = "+"
-            elif e.value < -CMP_TOL:
+            elif e.value < -POSSIBLE_TOL:
                 sign = "-"
             else:
                 sign = "0"

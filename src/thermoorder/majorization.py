@@ -11,14 +11,15 @@ Every dominance question, on float, exact or mixed data, is decided by one
 exact walk over those breakpoints. Entries are read exactly as integers
 over one denominator, floats too, since they are dyadic rationals, and each
 gap's sign is one integer cross-multiplication, so no tolerance decides a
-verdict. Witnesses are built on integer cells of the same reading. Curves
-themselves are built only for export.
+verdict. A witness is decided and built on the integer cells of one such
+reading, and exported curves are its exact prefix sums, rendered once.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,20 +228,15 @@ def thermal_lorenz(s: BlockState) -> LorenzCurve:
     """Cumulative beta-ordered probability against cumulative Gibbs weight.
 
     Zero-probability levels land at the end as flat segments, keeping the
-    full partition-function extent."""
-    lengths, (nums,), _, _ = integer_data(s.ham.gibbs, (s.probs,))
+    full partition-function extent. The points are exact prefix sums of the
+    integer reading, rendered once: as Fractions for an exact state, rounded
+    correctly to floats otherwise, so a float curve ends at (Z, 1.0)."""
+    lengths, (nums,), g, m = integer_data(s.ham.gibbs, (s.probs,))
     perm = beta_order(nums, lengths)
-    if s.exact:
-        xs = accumulate((s.ham.gibbs[i] for i in perm), initial=Fraction(0))
-        ys = accumulate((s.probs[i] for i in perm), initial=Fraction(0))
-        return LorenzCurve(tuple(zip(xs, ys)))
-    # float path: running sums depend on the summation order, so pin the
-    # endpoint to the order-independent compensated totals; two states on one
-    # Hamiltonian then share their extent to the bit
-    xs = accumulate((float(s.ham.gibbs[i]) for i in perm[:-1]), initial=0.0)
-    ys = accumulate((float(s.probs[i]) for i in perm[:-1]), initial=0.0)
-    pts = tuple((x, min(y, 1.0)) for x, y in zip(xs, ys))
-    return LorenzCurve(pts + ((float(s.ham.partition_function), 1.0),))
+    render = Fraction if s.exact else operator.truediv
+    xs = accumulate((lengths[i] for i in perm), initial=0)
+    ys = accumulate((nums[i] for i in perm), initial=0)
+    return LorenzCurve(tuple((render(x, g), render(y, m)) for x, y in zip(xs, ys)))
 
 
 def lorenz(p) -> LorenzCurve:
@@ -305,18 +301,25 @@ def refine(a, b) -> list:
 
 
 def exact_cells(a: BlockState, b: BlockState) -> tuple:
-    """(cells, G, units): the common cells of a and b for the witness
-    construction, read by integer_data and scaled to integers, the Gibbs
-    numerators G over x_unit, and the units = (x_unit, mass_unit) the cells'
-    lengths and masses carry. A level's density is its numerator times
-    top / G_i with top = lcm(G), so every cell mass is an integer; each is
-    that unit times the length or mass of a cell of the inputs' exact
-    copies, cut in the same order."""
-    lengths, numerators, g, m = integer_data(a.ham.gibbs, (a.probs, b.probs))
+    """(comparison, cells, G) for a witness from a to b, on one reading of
+    both states: the exact dominance of a's curve over b's and, only when it
+    holds, the common cells cut in integers and the Gibbs numerators G the
+    cells' lengths are counted in (else None, None).
+
+    A level's density is its numerator times top / G_i with top = lcm(G), so
+    every cell mass is an integer; each cell is a fixed multiple of a cell
+    of the inputs' exact copies, its length and masses scaled by one unit
+    each, cut in the same order. Both states lie on one Hamiltonian."""
+    lengths, numerators, g, _ = integer_data(a.ham.gibbs, (a.probs, b.probs))
+    orders = [beta_order(nums, lengths) for nums in numerators]
+    comparison = compare_partitions(*(([lengths[i] for i in order], [nums[i] for i in order])
+                                      for nums, order in zip(numerators, orders)), g)
+    if not comparison.dominates:
+        return comparison, None, None
     top = math.lcm(*lengths)
-    sides = ([(lengths[i], nums[i] * (top // lengths[i]), i) for i in beta_order(nums, lengths)]
-             for nums in numerators)
-    return refine(*sides), lengths, (g, m * top)
+    sides = ([(lengths[i], nums[i] * (top // lengths[i]), i) for i in order]
+             for nums, order in zip(numerators, orders))
+    return comparison, refine(*sides), lengths
 
 
 def thermomajorizes(a: BlockState, b: BlockState) -> CurveComparison:

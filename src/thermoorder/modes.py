@@ -9,10 +9,11 @@ of its inputs; the CLI's --numeric-mode only decides whether the files it
 loads become rationals or floats. Curve dominance is decided exactly for
 every arithmetic (``majorization`` reads floats as the rationals they are),
 so no slack enters a curve verdict. Other float computations get the slack
-in the table below, the only place these values live. ``CMP_TOL`` is the
-default of the CLI's ``--tol`` and the zero band of ``sign_intervals``;
-``tol`` of the catalytic criteria is also a parameter, because callers use
-more than one value (the CLI passes ``max(cmp_tol, FREE_ENERGY_FLOOR)``).
+in the table below, the only place these values live. ``POSSIBLE_TOL`` is
+the one free-energy slack: the default of the CLI's ``--tol`` and of the
+catalytic criteria's ``tol``, and the zero band of ``sign_intervals``;
+``tol`` is also a parameter, because callers use more than one value (the
+CLI passes ``max(cmp_tol, FREE_ENERGY_FLOOR)``).
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from fractions import Fraction
 
 # Tolerance table (float data only; exact data is compared exactly).
 NORM_TOL = 1e-12              # |sum(p) - 1| allowed at state construction
-CMP_TOL = 1e-10               # --tol default; sign_intervals' zero band
-POSSIBLE_TOL = 1e-10          # default slack of the free-energy criteria
+POSSIBLE_TOL = 1e-10          # free-energy slack: --tol default, sign_intervals' zero band
 FREE_ENERGY_FLOOR = 1e-15     # the CLI's free-energy slack is max(cmp_tol, this)
 ALPHA_ONE_WINDOW = 1e-6       # orders closer to 1 use the alpha = 1 formula
 CORRELATION_CLAMP = 1e-12     # total correlations in (-this, 0) read as 0

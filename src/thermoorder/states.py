@@ -72,7 +72,11 @@ def _exp_neg(level):
     # trivial Hamiltonians stay inside the rational world
     if is_exact_number(level) and level == 0:
         return Fraction(1)
-    return math.exp(-float(level))
+    try:
+        level = float(level)
+    except OverflowError:  # an exact level beyond the float range above the ground
+        return 0.0
+    return math.exp(-level)
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,18 @@
 A transition between block-diagonal states is possible through a thermal
 process exactly when some column-stochastic matrix fixes the Gibbs state and
 maps the initial distribution to the target, that is, when the initial
-thermal curve dominates the target's. Feasibility is the exact
-``thermomajorizes`` verdict, float entries read as the rationals they are,
-with no tolerance. The matrix is built on integer cells of the same reading
-(``majorization.exact_cells``) by the d-majorization construction
-(Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013); Shiraishi, "Two
-constructive proofs on d-majorization and thermo-majorization"): weighted
-T-transforms between cells and a sum back into levels. For exact inputs of
-up to 12 levels it runs on the cells in integers and is checked by exact
-equality; for float inputs, and exact inputs above 12 levels, it runs on the
-cells rendered once to floats and must pass residual bounds.
+thermal curve dominates the target's. Both states are read once, as the
+integers the dominance verdict uses (``majorization.exact_cells``), float
+entries as the rationals they are: one exact walk decides feasibility with
+no tolerance, and only a dominating pair goes on to the integer cells. The
+matrix is built on them by the d-majorization construction (Horodecki &
+Oppenheim, Nat. Commun. 4, 2059 (2013); Shiraishi, "Two constructive proofs
+on d-majorization and thermo-majorization"): weighted T-transforms between
+cells, each decided on the integer masses, and a sum back into levels. For
+exact inputs of up to 12 levels the rows are integers and the matrix is
+checked by exact equality; for float inputs, and exact inputs above 12
+levels, the rows are floats, each share and transform coefficient rounded
+once from the integers, and the matrix must pass residual bounds.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .majorization import _integers, exact_cells, thermomajorizes
+from .majorization import _integers, exact_cells
 from .modes import (
     GIBBS_DRIFT_TOL,
     WITNESS_ENTRY_TOL,
@@ -122,67 +124,61 @@ def identity_witness(n: int) -> StochasticWitness:
     ))
 
 
-def _construct(cells, gibbs, n: int):
+def _construct(cells, gibbs, n: int, exact: bool):
     """Rows of a column-stochastic M with M g = g and M p = q, from the cells.
 
-    Cells and Gibbs weights are all floats, all Fractions or all ints (the
-    weights over the cells' length unit, as exact_cells gives them), and
+    Cells and the Gibbs numerators are ints, as exact_cells gives them, and
     every running sum of p's minus q's cell mass is >= 0. Row c of ``rows``
     is the map from p's levels to the mass in cell c; it starts as the
     proportional split of each level's interval. Weighted T-transforms then
     move mass from the last cell with a surplus over q to the first later
     cell with a deficit, preserving the cell lengths, until every cell holds
     q's mass (each step settles one cell). Summing the rows of each q level
-    gives M. Int rows are numerators over ``dens``, so M is exact and takes
-    integer arithmetic only, down to one Fraction per entry.
+    gives M. Every transform is decided on the integer masses; ``exact``
+    picks only the rows' arithmetic. Integer rows are numerators over
+    ``dens``, so M is exact and takes integer arithmetic only, down to one
+    Fraction per entry; float rows take each share and each transform's s
+    and t as one correctly rounded quotient of the integers.
     """
-    exact = type(gibbs[0]) is int
-    zero = 0 * gibbs[0]
     rows, dens, mass, target = [], [], [], []
     for length, i, _, p_mass, q_mass in cells:
-        row = [zero] * n
+        row = [0] * n
         row[i] = length if exact else length / gibbs[i]
         rows.append(row)
         dens.append(gibbs[i])
         mass.append(p_mass)
         target.append(q_mass)
     m = len(cells)
-    while True:
-        j = next((c for c in range(m - 1, -1, -1) if mass[c] > target[c]), None)
-        if j is None:
-            break
-        k = next((c for c in range(j + 1, m) if mass[c] < target[c]), None)
-        if k is None:
-            # int cells leave every surplus a later deficit; float ones, rendered
-            # from them, can leave a rounding surplus: count the cell settled
-            mass[j] = target[j]
-            continue
-        lj, lk = cells[j][0], cells[k][0]
-        surplus, deficit = mass[j] - target[j], target[k] - mass[k]
-        delta = min(surplus, deficit)
-        # T = [[1-s, t], [s, 1-t]] on (j, k) with s*lj = t*lk fixes the lengths
-        # and moves s*mass[j] - t*mass[k] = delta
-        denom = mass[j] * lk - mass[k] * lj
-        rj, rk = rows[j], rows[k]
-        if denom > 0 and exact:  # s and t as numerators over denom; rows j, k over dj, dk
-            s_num, t_num, dj, dk = min(denom, delta * lk), min(denom, delta * lj), dens[j], dens[k]
-            rows[j] = [(denom - s_num) * dk * u + t_num * dj * v for u, v in zip(rj, rk)]
-            rows[k] = [s_num * dk * u + (denom - t_num) * dj * v for u, v in zip(rj, rk)]
-            for c in (j, k):  # both new rows lie over denom dj dk; reduce them
-                g = math.gcd(denom * dj * dk, *rows[c])
-                rows[c], dens[c] = [u // g for u in rows[c]], denom * dj * dk // g
-        elif denom > 0:
-            s, t = min(1, delta * lk / denom), min(1, delta * lj / denom)
-            rows[j] = [(1 - s) * u + t * v for u, v in zip(rj, rk)]
-            rows[k] = [s * u + (1 - t) * v for u, v in zip(rj, rk)]
-        if surplus <= deficit:
-            mass[j], mass[k] = target[j], mass[k] + surplus
-        else:
-            mass[j], mass[k] = mass[j] - deficit, target[k]
+    # a transform fills a later deficit and creates no surplus, so the cells
+    # are settled from the last one back; the running sums leave every
+    # surplus a later deficit
+    for j in range(m - 1, -1, -1):
+        while mass[j] > target[j]:
+            k = next(c for c in range(j + 1, m) if mass[c] < target[c])
+            lj, lk = cells[j][0], cells[k][0]
+            delta = min(mass[j] - target[j], target[k] - mass[k])
+            # T = [[1-s, t], [s, 1-t]] on (j, k) with s*lj = t*lk fixes the
+            # lengths and moves s*mass[j] - t*mass[k] = delta; s and t are
+            # numerators over denom
+            denom = mass[j] * lk - mass[k] * lj
+            if denom > 0:
+                s_num, t_num, rj, rk = min(denom, delta * lk), min(denom, delta * lj), rows[j], rows[k]
+                if exact:  # rows j, k over dj, dk
+                    dj, dk = dens[j], dens[k]
+                    rows[j] = [(denom - s_num) * dk * u + t_num * dj * v for u, v in zip(rj, rk)]
+                    rows[k] = [s_num * dk * u + (denom - t_num) * dj * v for u, v in zip(rj, rk)]
+                    for c in (j, k):  # both new rows lie over denom dj dk; reduce them
+                        g = math.gcd(denom * dj * dk, *rows[c])
+                        rows[c], dens[c] = [u // g for u in rows[c]], denom * dj * dk // g
+                else:
+                    s, t = s_num / denom, t_num / denom
+                    rows[j] = [(1 - s) * u + t * v for u, v in zip(rj, rk)]
+                    rows[k] = [s * u + (1 - t) * v for u, v in zip(rj, rk)]
+            mass[j], mass[k] = mass[j] - delta, mass[k] + delta
     if exact:  # the rows read over one denominator, so the sums below add integers
         scales, top = _integers([Fraction(1, d) for d in dens])
         rows = [[u * f for u in row] for row, f in zip(rows, scales)]
-    matrix = [[zero] * n for _ in range(n)]
+    matrix = [[0 if exact else 0.0] * n for _ in range(n)]
     for (_, _, j, _, _), row in zip(cells, rows):
         out = matrix[j]
         for i, v in enumerate(row):
@@ -212,20 +208,15 @@ def _witness_or_comparison(p: BlockState, q: BlockState) -> tuple:
     if q.probs == gamma:
         rows = tuple(tuple(gamma[i] for _ in range(n)) for i in range(n))
         return StochasticWitness(rows), None
-    comparison = thermomajorizes(p, q)
-    if not comparison.dominates:
+    comparison, cells, weights = exact_cells(p, q)
+    if cells is None:
         return None, comparison
-    cells, weights, (x_unit, mass_unit) = exact_cells(p, q)
-    if p.exact and q.exact and n <= EXACT_DIMENSION_LIMIT:
-        witness = StochasticWitness(_construct(cells, weights, n))
-        # exact arithmetic, so equality is strict
+    exact = p.exact and q.exact and n <= EXACT_DIMENSION_LIMIT
+    witness = StochasticWitness(_construct(cells, weights, n, exact))
+    if exact:  # exact arithmetic, so equality is strict
         if witness.apply(p.probs) != q.probs or witness.apply(gamma) != gamma:
             raise WitnessNumericalError("exact construction produced an invalid witness")
         return witness, None
-    # int over int is correctly rounded, so these are the floats of the exact cells
-    cells = [(length / x_unit, i, j, p_mass / mass_unit, q_mass / mass_unit)
-             for length, i, j, p_mass, q_mass in cells]
-    witness = StochasticWitness(_construct(cells, [float(g) for g in p.ham.gibbs], n))
     r = witness.residuals(p.probs, q.probs, gamma)
     if r["map"] > WITNESS_MAP_TOL or r["gibbs"] > WITNESS_GIBBS_TOL:
         raise WitnessNumericalError(f"witness failed validation: residuals {r}")

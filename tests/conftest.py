@@ -149,6 +149,34 @@ def fraction_comparison(cells):
     return CurveComparison(verdict, dips, verdict == ABOVE and min_gap <= 0, min_gap, max_gap)
 
 
+def fraction_construct(cells, gibbs, n: int) -> tuple:
+    """The d-majorization witness in Fractions on Fraction cells: each cell's
+    row starts as its share of its level's Gibbs weight, weighted
+    T-transforms move mass from the last cell with a surplus to the first
+    later cell with a deficit, and the rows of each target level add up to
+    the matrix."""
+    rows, mass, target = [], [a for *_, a, _ in cells], [b for *_, b in cells]
+    for length, i, *_ in cells:
+        rows.append([Fraction(0)] * n)
+        rows[-1][i] = length / gibbs[i]
+    while any(a > b for a, b in zip(mass, target)):
+        j = max(c for c in range(len(cells)) if mass[c] > target[c])
+        k = min(c for c in range(j + 1, len(cells)) if mass[c] < target[c])
+        (lj, *_), (lk, *_) = cells[j], cells[k]
+        surplus, deficit = mass[j] - target[j], target[k] - mass[k]
+        delta, denom = min(surplus, deficit), mass[j] * lk - mass[k] * lj
+        if denom > 0:
+            s, t = min(1, delta * lk / denom), min(1, delta * lj / denom)
+            rj, rk = rows[j], rows[k]
+            rows[j] = [(1 - s) * u + t * v for u, v in zip(rj, rk)]
+            rows[k] = [s * u + (1 - t) * v for u, v in zip(rj, rk)]
+        mass[j], mass[k] = mass[j] - delta, mass[k] + delta
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for (_, _, j, _, _), row in zip(cells, rows):
+        matrix[j] = [a + b for a, b in zip(matrix[j], row)]
+    return tuple(map(tuple, matrix))
+
+
 def oracle_comparison(a: BlockState, b: BlockState):
     """Dominance of a over b on the Fraction cells of their exact copies."""
     return fraction_comparison(fraction_cells(a, b))

@@ -81,6 +81,16 @@ def test_check_float_overflow_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize("numeric_mode", ["float", "rational"])
+def test_check_level_beyond_the_float_range_exits_two(tmp_path, numeric_mode):
+    # a 401-digit integer level: its weight is 0, as for a float level 800 kT up
+    far = tmp_path / "far.json"
+    far.write_text('{"levels": [0, 1%s], "probs": [1, 0]}' % ("0" * 400))
+    res = run_cli("check", str(far), str(far), "--numeric-mode", numeric_mode)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and ") is 0.0; weights must be finite and positive" in res.stderr
+
+
+@pytest.mark.parametrize("numeric_mode", ["float", "rational"])
 def test_check_is_gauge_invariant_at_800_kT(tmp_path, numeric_mode):
     # the shifted files' absolute Boltzmann weights under- or overflow
     levels = (0.0, 0.4, 1.1, 2.0)

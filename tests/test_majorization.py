@@ -2,6 +2,7 @@ import io
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,8 @@ from thermoorder import (
     thermomajorizes,
 )
 from thermoorder.entropies import nonnegative_alpha_grid
-from thermoorder.majorization import beta_order, integer_data
+from thermoorder.majorization import LorenzCurve, beta_order, integer_data
+from thermoorder.modes import NORM_TOL
 
 from conftest import (fraction_segments, gibbs_mixture, oracle_comparison, random_distribution,
                       random_hamiltonian, random_state)
@@ -107,6 +109,43 @@ def test_plain_lorenz_breakpoints_count_levels():
     ys = [float(y) for _, y in curve.points]
     assert xs == [0.0, 1.0, 2.0, 3.0]
     assert ys == pytest.approx([0.0, 0.5, 0.8, 1.0], abs=1e-15)
+
+
+@st.composite
+def curve_states(draw):
+    """Float states of 1..24 levels, zeros allowed, whose probabilities sum
+    to 1 only up to a relative error of NORM_TOL, on random float levels or
+    on Gibbs weights from a small set, so densities tie."""
+    n = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        ham = Hamiltonian(tuple(draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n))))
+    else:
+        ham = Hamiltonian(tuple(-math.log(draw(st.sampled_from((1, 2, 3, 4, 6)))) for _ in range(n)))
+    weights = draw(st.lists(st.sampled_from((0.0, 1.0, 2.0, 3.0)) | st.floats(0, 1),
+                            min_size=n, max_size=n).filter(any))
+    off = 1 + draw(st.floats(-NORM_TOL, NORM_TOL)) * 0.99
+    return BlockState(tuple(w / sum(weights) * off for w in weights), ham)
+
+
+def _fraction_curve(s):
+    """The curve of an exact state as Fraction prefix sums of its levels'
+    weights and probabilities, in the Fraction beta order."""
+    order = [i for *_, i in fraction_segments(s)]
+    xs = accumulate((s.ham.gibbs[i] for i in order), initial=Fraction(0))
+    ys = accumulate((s.probs[i] for i in order), initial=Fraction(0))
+    return LorenzCurve(tuple(zip(xs, ys)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(curve_states())
+def test_float_curve_points_are_the_rounded_exact_points(s):
+    # the float curve is its exact copy's, every point rounded once: the
+    # probabilities renormalised exactly, so it ends at (Z, 1.0) to the bit
+    exact = thermal_lorenz(s.to_exact())
+    assert repr(exact) == repr(_fraction_curve(s.to_exact()))
+    got = thermal_lorenz(s)
+    assert repr(got) == repr(LorenzCurve(tuple((float(x), float(y)) for x, y in exact.points)))
+    assert got.points[-1] == (s.ham.partition_function, 1.0)
 
 
 def test_curve_csv_export():

@@ -21,12 +21,18 @@ def test_small_float_literals_live_only_in_the_tolerance_table():
     assert not found, found
 
 
-def test_every_tolerance_in_the_table_is_used():
+def _tolerance_table() -> set:
+    """The names of the float constants in modes.py's tolerance table."""
     package = pathlib.Path(thermoorder.__file__).parent
     modes = ast.parse((package / "modes.py").read_text(encoding="utf-8"))
-    table = {target.id for node in modes.body if isinstance(node, ast.Assign)
-             and isinstance(node.value, ast.Constant) and isinstance(node.value.value, float)
-             for target in node.targets}
+    return {target.id for node in modes.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant) and isinstance(node.value.value, float)
+            for target in node.targets}
+
+
+def test_every_tolerance_in_the_table_is_used():
+    package = pathlib.Path(thermoorder.__file__).parent
+    table = _tolerance_table()
     used = set()
     for path in package.glob("*.py"):
         if path.name == "modes.py":
@@ -93,8 +99,9 @@ def _names(tree) -> set:
 
 def test_curve_verdicts_take_no_float_slack():
     """Curve dominance is decided exactly for every arithmetic: the module
-    that decides it imports no tolerance, the tie tolerance is gone, and the
-    correlating verification and search name no comparison slack."""
+    that decides it imports no tolerance, the tie tolerance is gone, the
+    correlating verification names no tolerance, and the search names only
+    the free-energy slack, in its correlation-budget comparison."""
     package = pathlib.Path(thermoorder.__file__).parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
     imports = [node for node in ast.walk(trees["majorization.py"])
@@ -103,8 +110,14 @@ def test_curve_verdicts_take_no_float_slack():
     assert not imports, [node.lineno for node in imports]
     assert not [name for name, tree in trees.items() if "TIE_TOL" in _names(tree)]
     functions = {node.name: node for node in ast.walk(trees["catalysis.py"]) if isinstance(node, ast.FunctionDef)}
-    for name in ("verify_correlating_transition", "search_correlating_catalyst"):
-        assert "CMP_TOL" not in _names(functions[name]), name
+    table = _tolerance_table()
+    assert not _names(functions["verify_correlating_transition"]) & table
+    search = functions["search_correlating_catalyst"]
+    assert _names(search) & table == {"POSSIBLE_TOL"}
+    budget = [node for node in ast.walk(search) if isinstance(node, ast.Compare)
+              and {"budget_i", "POSSIBLE_TOL"} <= _names(node)]
+    slack = [node for node in ast.walk(search) if isinstance(node, ast.Name) and node.id == "POSSIBLE_TOL"]
+    assert len(budget) == 1 and slack == [node for node in ast.walk(budget[0]) if node in slack]
 
 
 def test_only_states_builds_the_gibbs_record():
@@ -129,6 +142,47 @@ def test_exact_and_float_copies_are_made_only_at_the_boundary():
     arithmetic of its inputs, and find_witness reads float inputs exactly
     without a copy."""
     found = _calls(("to_exact", "to_float"), skip=("cli.py",))
+    assert not found, found
+
+
+def _stored(node) -> set:
+    """The variables an assignment target binds or writes into."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return set().union(*map(_stored, node.elts))
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def test_the_witness_reads_once_and_decides_in_integers():
+    """find_witness reads its inputs once, through majorization.exact_cells,
+    and _construct decides every T-transform on the integer masses: the row
+    flag is tested bare and picks only the rows' arithmetic, so no branch on
+    it assigns a decision, and there is no test for a missing deficit and no
+    float clamp of s or t."""
+    assert not [call for call in _calls(("thermomajorizes", "integer_data"))
+                if call.startswith("witness.py:")]
+    package = pathlib.Path(thermoorder.__file__).parent
+    tree = ast.parse((package / "witness.py").read_text(encoding="utf-8"))
+    construct = next(node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == "_construct")
+    decisions = {"mass", "target", "delta", "denom", "s_num", "t_num", "j", "k"}
+    found = []
+    for node in ast.walk(construct):
+        if isinstance(node, (ast.If, ast.IfExp, ast.While)) and "exact" in _names(node.test):
+            if not (isinstance(node.test, ast.Name) and isinstance(node, (ast.If, ast.IfExp))):
+                found.append(f"{node.lineno}: a test that is not the bare flag")
+            branches = node.body + node.orelse if isinstance(node, ast.If) else []
+            for stmt in (n for b in branches for n in ast.walk(b)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+                    [stmt.target] if isinstance(stmt, (ast.AugAssign, ast.For)) else []
+                if set().union(*map(_stored, targets)) & decisions:
+                    found.append(f"{stmt.lineno}: a decision assigned under the flag")
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            found.append(f"{node.lineno}: an identity test")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("min", "max", "float") \
+                and any(isinstance(arg, ast.Constant) for arg in node.args):
+            found.append(f"{node.lineno}: a clamp to a constant")
     assert not found, found
 
 

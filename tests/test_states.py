@@ -45,6 +45,11 @@ def test_a_level_whose_weight_underflows_is_rejected_at_construction():
         Hamiltonian((0.0, 800.0, 1.0))
     with pytest.raises(ValueError, match="level 0 "):
         Hamiltonian((1.0, 2.0), (0.0, 1.0))
+    # exact levels beyond the float range above the ground have weight 0 too
+    with pytest.raises(ValueError, match=r"level 1 \(10{400}\) is 0\.0; "):
+        Hamiltonian((0, 10 ** 400))
+    with pytest.raises(ValueError, match=r"level 1 \(0\) is 0\.0; "):
+        Hamiltonian((Fraction(-10 ** 400), 0))
     # the weights are relative to the ground level, wherever it lies
     assert Hamiltonian((-800.0, 1.0 - 800.0)).gibbs == (1.0, math.exp(-1.0))
 

@@ -19,13 +19,16 @@ from thermoorder import (
     thermal_lorenz,
     thermomajorizes,
 )
+from thermoorder import majorization
 from thermoorder.entropies import nonnegative_alpha_grid
-from thermoorder.witness import EXACT_DIMENSION_LIMIT, _construct, _witness_or_comparison
+from thermoorder.modes import WITNESS_GIBBS_TOL, WITNESS_MAP_TOL
+from thermoorder.witness import EXACT_DIMENSION_LIMIT, _witness_or_comparison
 
 from conftest import (
     count_fraction_calls,
     fraction_cells,
     fraction_comparison,
+    fraction_construct,
     gibbs_mixture,
     random_distribution,
     random_hamiltonian,
@@ -367,31 +370,30 @@ def test_float_near_tie_is_decided_exactly(empty_levels):
 
 
 def _witness_on_rational_copies(p, q):
-    """(matrix, None) or (None, comparison) as find_witness once decided and
-    built them: on the Fraction cells of the inputs' to_exact copies, rendered
-    to floats for the float construction."""
+    """(matrix, None) or (None, comparison) on the Fraction cells of the
+    inputs' to_exact copies: the Fraction construction, or the comparison
+    that rules a witness out."""
     cells = fraction_cells(p, q)
     comparison = fraction_comparison(cells)
     if not comparison.dominates:
         return None, comparison
-    if p.exact and q.exact and len(p) <= EXACT_DIMENSION_LIMIT:
-        gibbs = [Fraction(g) for g in p.ham.gibbs]
-    else:
-        cells = [(float(length), i, j, float(a), float(b)) for length, i, j, a, b in cells]
-        gibbs = [float(g) for g in p.ham.gibbs]
-    return StochasticWitness(_construct(cells, gibbs, len(p))).matrix, None
+    return fraction_construct(cells, [Fraction(g) for g in p.ham.gibbs], len(p)), None
 
 
 @st.composite
-def arithmetic_pairs(draw):
-    """Pairs of 2..24 levels in every arithmetic: float, exact, Fraction
-    probabilities on a float Hamiltonian, and a float target next to an exact
-    initial state. Gibbs weights come from a small set, so levels tie, and
-    exact ones may be scaled beyond the float range; both states may hold
-    zeros. Half the targets mix the initial state with the Gibbs state, so
-    both verdicts occur."""
-    n = draw(st.integers(2, 24))
-    kind = draw(st.sampled_from(("float", "exact", "mixed", "half")))
+def arithmetic_pairs(draw, exact_rows):
+    """Pairs whose witness takes integer rows (exact pairs of 2 up to
+    EXACT_DIMENSION_LIMIT levels) or, without exact_rows, float rows: float
+    pairs, Fraction probabilities on a float Hamiltonian and a float target
+    next to an exact initial state, of 2..24 levels, and exact pairs above
+    the limit. Gibbs weights come from a small set, so levels tie, and exact
+    ones may be scaled beyond the float range; both states may hold zeros.
+    Half the targets mix the initial state with the Gibbs state, so both
+    verdicts occur."""
+    kind = "exact" if exact_rows else draw(st.sampled_from(("float", "exact", "mixed", "half")))
+    limit = EXACT_DIMENSION_LIMIT
+    n = draw(st.integers(2, limit) if exact_rows else st.integers(limit + 1, 24) if kind == "exact"
+             else st.integers(2, 24))
     factors = [Fraction(draw(st.sampled_from((1, 2, 3, 4, 6))), draw(st.sampled_from((1, 2, 3, 5))))
                for _ in range(n)]
     if kind in ("exact", "half"):
@@ -421,7 +423,7 @@ def arithmetic_pairs(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(arithmetic_pairs())
+@given(arithmetic_pairs(exact_rows=True))
 def test_witness_on_integer_cells_matches_the_rational_copies(pair):
     p, q = pair
     assume(p.probs != q.probs and q.probs != gibbs_state(p.ham).probs)
@@ -429,6 +431,43 @@ def test_witness_on_integer_cells_matches_the_rational_copies(pair):
     got = (None if witness is None else witness.matrix, comparison)
     # repr tells 1 from 1.0 and Fraction(1, 1), so this compares types too
     assert repr(got) == repr(_witness_on_rational_copies(p, q))
+
+
+@settings(max_examples=120, deadline=None)
+@given(arithmetic_pairs(exact_rows=False))
+def test_float_row_witness_agrees_with_the_rational_copies(pair):
+    # float rows round each share and each transform once, so they agree
+    # with the Fraction construction only up to the rounding they gather
+    p, q = pair
+    assume(p.probs != q.probs and q.probs != gibbs_state(p.ham).probs)
+    witness, comparison = _witness_or_comparison(p, q)
+    want, want_comparison = _witness_on_rational_copies(p, q)
+    assert repr(comparison) == repr(want_comparison) and (witness is None) == (want is None)
+    if witness is not None:
+        assert all(type(v) is float for row in witness.matrix for v in row)
+        assert max(abs(v - float(w)) for row, want_row in zip(witness.matrix, want)
+                   for v, w in zip(row, want_row)) <= 1e-12
+        r = witness.residuals(p.probs, q.probs, gibbs_state(p.ham).probs)
+        assert r["map"] <= WITNESS_MAP_TOL and r["gibbs"] <= WITNESS_GIBBS_TOL
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_feasible_witness_reads_its_inputs_once(monkeypatch, rng, exact):
+    # one integer reading and one beta order per state decide the pair and
+    # cut the cells
+    ham = random_rational_gibbs_ham(rng, 6) if exact else random_hamiltonian(rng, 6)
+    p = BlockState(random_rational_distribution(rng, 6) if exact else random_distribution(rng, 6), ham)
+    q = BlockState(tuple((a + g) / 2 for a, g in zip(p.probs, gibbs_state(ham).probs)), ham)
+    calls = []
+    for name in ("integer_data", "beta_order"):
+        def counting(*args, _function=getattr(majorization, name), _name=name):
+            calls.append(_name)
+            return _function(*args)
+
+        monkeypatch.setattr(majorization, name, counting)
+    witness = find_witness(p, q)
+    assert witness is not None and witness.exact == exact
+    assert sorted(calls) == ["beta_order", "beta_order", "integer_data"]
 
 
 def test_float_witness_does_no_fraction_arithmetic(monkeypatch, rng):
