@@ -203,11 +203,14 @@ def _witness_or_comparison(p: BlockState, q: BlockState) -> tuple:
         raise ValueError("witness search needs both states on the same Hamiltonian")
     n = len(p)
     gamma = p.ham.gibbs_probs
+    # the shortcuts take the inputs' arithmetic, as the construction does
+    number = Fraction if p.exact and q.exact else float
     if p.probs == q.probs:
-        return identity_witness(n), None
+        one, zero = number(1), number(0)
+        return StochasticWitness(tuple(tuple(one if i == j else zero for j in range(n))
+                                       for i in range(n))), None
     if q.probs == gamma:
-        rows = tuple(tuple(gamma[i] for _ in range(n)) for i in range(n))
-        return StochasticWitness(rows), None
+        return StochasticWitness(tuple((number(g),) * n for g in gamma)), None
     comparison, cells, weights = exact_cells(p, q)
     if cells is None:
         return None, comparison

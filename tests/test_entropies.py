@@ -16,6 +16,7 @@ from thermoorder import (
     BlockState,
     Hamiltonian,
     JointCatalyst,
+    catalytic_possible,
     default_alpha_grid,
     delta_f_sweep,
     free_energy_alpha,
@@ -246,7 +247,10 @@ def test_sweep_csv_serialization():
 
 # -- one evaluator: properties against per-order and closed-form values -------
 
-ORDERS = default_alpha_grid() + tuple(Alpha(v) for v in (-0.5, -2.0, -7.5))
+# off the grid: negative orders, both sides of the alpha = 1 window, an order
+# snapped to 1, and orders near 0 and far past the grid's end
+ORDERS = default_alpha_grid() + tuple(
+    Alpha(v) for v in (-0.5, -2.0, -7.5, 1 - 2e-6, 1 + 5e-7, 1 + 2e-6, 1e-3, 60.0))
 
 
 def bits(x: float) -> bytes:
@@ -353,6 +357,41 @@ def test_renyi_entropy_matches_the_closed_forms(p):
             assert got == want or abs(got - want) <= math.ulp(want), (got, want)
         else:
             assert bits(got) == bits(want), a.label()
+
+
+def test_the_grid_is_built_once_and_order_one_reads_no_generic_logs(monkeypatch, rng):
+    import thermoorder.entropies
+
+    assert default_alpha_grid() is default_alpha_grid()
+    assert nonnegative_alpha_grid() is nonnegative_alpha_grid()
+    built = []
+    post_init = Alpha.__post_init__
+
+    def counting(self):
+        built.append(self.value)
+        post_init(self)
+
+    initial, final = work_extraction_pair()
+    catalytic_possible(initial, final)
+    monkeypatch.setattr(Alpha, "__post_init__", counting)
+    catalytic_possible(initial, final)
+    assert built == []
+
+    logs = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def log(self, x):
+            logs.append(x)
+            return math.log(x)
+
+    s = random_state(rng, 7)
+    want = free_energy_gap(s, ALPHA_1)
+    monkeypatch.setattr(thermoorder.entropies, "math", CountingMath())
+    assert bits(free_energy_gap(s, ALPHA_1)) == bits(want)
+    assert 0 < len(logs) <= len(s)
 
 
 # -- correlation measures ----------------------------------------------------

@@ -70,6 +70,21 @@ def test_library_code_calls_the_evaluator_not_the_raw_sequence_functions():
     assert not found, found
 
 
+def test_only_the_closed_forms_call_the_log_power_sum():
+    """_divergences evaluates its generic orders inline; the helper serves
+    free_energy_alpha's ln Z and work_bit_delta_f's closed form only."""
+    package = pathlib.Path(thermoorder.__file__).parent
+    tree = ast.parse((package / "entropies.py").read_text(encoding="utf-8"))
+    spans = [(node.lineno, node.end_lineno, node.name) for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)]
+    callers = set()
+    for call in _calls(("_log_power_sum",)):
+        path, line, _ = call.split(":")
+        assert path == "entropies.py", call
+        callers |= {name for lo, hi, name in spans if lo <= int(line) <= hi}
+    assert callers == {"free_energy_alpha", "work_bit_delta_f"}, callers
+
+
 def test_only_majorization_orders_levels():
     """The one beta-order function, the exact integer reading of the data
     and the walk and cells built on them stay in one module; the others ask

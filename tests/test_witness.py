@@ -195,6 +195,14 @@ def test_witness_arithmetic_follows_the_inputs(rng):
         w = find_witness(p, q)
         assert w.exact and all(type(v) is Fraction for row in w.matrix for v in row)
         assert w.apply(p.probs) == q.probs
+        # the identity and Gibbs-target shortcuts too, float data on an
+        # exact Hamiltonian included
+        f = BlockState(tuple(float(x) for x in p.probs), ham)
+        for s, number in ((a, float), (f, float), (p, Fraction)):
+            for target in (s, gibbs_state(s.ham)):
+                w = find_witness(s, target)
+                assert w.exact == (number is Fraction)
+                assert all(type(v) is number for row in w.matrix for v in row)
 
 
 def test_exact_witness_from_int_weights_and_int_probabilities():
